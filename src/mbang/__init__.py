@@ -17,6 +17,7 @@ from .discovery import (
     PopulationCumulants,
     SampleCumulants,
     cumulant_test,
+    enumerate_cliques,
     find_multidirected,
     load_first_stage,
     oracle_first_stage,
@@ -29,7 +30,6 @@ from .graphs import (
     BidirectedGraph,
     MixedGraph,
     bidirected_subdivision,
-    enumerate_cliques,
     find_k_trek,
     has_k_trek,
     is_acyclic,

@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .discovery import (
     DiscoveryConfig,
@@ -41,15 +41,15 @@ class TrialConfig:
     standardize: bool = True
     relaxed_test: bool = True
     hide_prob: float = 0.5
-    bow_rule: str = "trim_parent"
     workers: int = 1
 
     def __post_init__(self):
         for name in ("p_pre", "n", "trials", "workers"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
-        if self.edges < 0:
-            raise ValidationError("edges must be nonnegative")
+        for name in ("edges", "seed"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be nonnegative")
         noise_from_tag(self.noise)
 
     def discovery_config(self) -> DiscoveryConfig:
@@ -58,23 +58,6 @@ class TrialConfig:
             standardize=self.standardize,
             relaxed_test=self.relaxed_test,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p_pre": self.p_pre,
-            "edges": self.edges,
-            "noise": self.noise,
-            "n": self.n,
-            "trials": self.trials,
-            "stage": self.stage,
-            "seed": self.seed,
-            "cumulant_tolerance": self.cumulant_tolerance,
-            "standardize": self.standardize,
-            "relaxed_test": self.relaxed_test,
-            "hide_prob": self.hide_prob,
-            "bow_rule": self.bow_rule,
-            "workers": self.workers,
-        }
 
 
 @dataclass(frozen=True)
@@ -121,7 +104,6 @@ def _run_trial(cfg: TrialConfig, trial: int) -> TrialOutcome:
         noise,
         seed=[cfg.seed, trial, 0],
         hide_prob=cfg.hide_prob,
-        bow_rule=cfg.bow_rule,
     )
     start = time.perf_counter()
     try:
@@ -199,7 +181,7 @@ def aggregate_outcomes(cfg: TrialConfig, outcomes) -> dict:
     ]
     conditional = _rate(o.graph_exact for o in outcomes if o.stage_exact)
     return {
-        "config": cfg.to_json_dict(),
+        "config": asdict(cfg),
         "trials": len(outcomes),
         "failed_trials": sum(1 for o in outcomes if o.error is not None),
         "graph_exact_rate": _rate(o.graph_exact for o in outcomes),

@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage, 3 schema or validation problem, 4 numerical
-failure.  Every randomized subcommand takes an explicit --seed so published
-numbers stay reproducible.
+Exit codes: 0 success, 2 usage, 3 schema or validation problem or an
+unwritable output path, 4 numerical failure.  Every randomized subcommand
+takes an explicit --seed so published numbers stay reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ from . import bench, fileio
 from .cumulants import sample_cumulant_tensor, tensor_to_json_dict
 from .discovery import (
     DiscoveryConfig,
+    enumerate_cliques,
     load_first_stage,
     oracle_first_stage,
     run_mbang,
@@ -23,7 +25,6 @@ from .discovery import (
 from .errors import NumericalError, SchemaError, ValidationError
 from .graphs import (
     bidirected_subdivision,
-    enumerate_cliques,
     find_k_trek,
     format_graph,
     graph_to_dot,
@@ -69,7 +70,6 @@ def _cmd_discover(args) -> int:
         cumulant_tolerance=args.tolerance,
         standardize=not args.no_standardize,
         relaxed_test=not args.strict,
-        relaxation_variant=args.relaxation,
     )
     result = run_mbang(data, stage, cfg)
     fileio.save_json(result.to_json_dict(), args.out)
@@ -79,7 +79,10 @@ def _cmd_discover(args) -> int:
 
 def _cmd_treks(args) -> int:
     g = fileio.load_graph(args.graph)
-    tup = [int(x) for x in args.tuple.split(",") if x.strip()]
+    try:
+        tup = [int(x) for x in args.tuple.split(",") if x.strip()]
+    except ValueError:
+        raise UsageError(f"--tuple must list integer vertices, got {args.tuple!r}") from None
     if len(tup) < 2:
         raise UsageError("--tuple needs at least 2 comma-separated vertices")
     witness = find_k_trek(g, tup)
@@ -117,13 +120,10 @@ def _cmd_benchmark(args) -> int:
         if not isinstance(doc, dict):
             raise SchemaError("benchmark config must be a JSON object")
         fields.update(doc)
-    for name in (
-        "p_pre", "edges", "noise", "n", "trials", "stage", "seed",
-        "cumulant_tolerance", "hide_prob", "workers",
-    ):
-        value = getattr(args, name)
+    for field in dataclasses.fields(bench.TrialConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            fields[name] = value
+            fields[field.name] = value
     try:
         cfg = bench.TrialConfig(**fields)
     except TypeError as exc:
@@ -161,6 +161,13 @@ class UsageError(Exception):
     pass
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbang",
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="sample a dataset from a model spec")
     sim.add_argument("--spec", required=True)
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--seed", type=nonnegative_int, required=True)
     sim.add_argument("--out", required=True)
     sim.add_argument("--format", choices=("csv", "bin"), default="csv")
     sim.set_defaults(func=_cmd_simulate)
@@ -189,10 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     relax = disc.add_mutually_exclusive_group()
     relax.add_argument("--relaxed", action="store_true", help="enable the relaxed repeat-index test (default)")
     relax.add_argument("--strict", action="store_true", help="disable the relaxed repeat-index test")
-    disc.add_argument("--relaxation", choices=("listing", "prose"), default="listing")
     disc.add_argument("--lenient", action="store_true", help="warn instead of failing on bows in the stage file")
     disc.add_argument("--stage-perturbation", type=float, default=0.0)
-    disc.add_argument("--seed", type=int, default=None)
+    disc.add_argument("--seed", type=nonnegative_int, default=None)
     disc.add_argument("--out", required=True)
     disc.set_defaults(func=_cmd_discover)
 
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--n", type=int)
     bm.add_argument("--trials", type=int)
     bm.add_argument("--stage")
-    bm.add_argument("--seed", type=int)
+    bm.add_argument("--seed", type=nonnegative_int)
     bm.add_argument("--tolerance", dest="cumulant_tolerance", type=float)
     bm.add_argument("--hide-prob", dest="hide_prob", type=float)
     bm.add_argument("--workers", type=int)
@@ -248,6 +254,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # Reads report OSError as SchemaError, so what reaches here is a write.
+        print(f"error: cannot write: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

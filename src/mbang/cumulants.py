@@ -96,21 +96,14 @@ def sample_moments(data, k_max: int) -> MomentTable:
     return MomentTable(values)
 
 
-def cumulant_from_moments(moments: MomentTable, idx, skip_singletons: bool = False) -> float:
-    """Joint cumulant of the (possibly repeated) indices from a moment table.
-
-    ``skip_singletons`` drops partitions containing a singleton block, which is
-    exact when all first moments vanish; it must agree with the full sum to
-    within float noise on centered data.
-    """
+def cumulant_from_moments(moments: MomentTable, idx) -> float:
+    """Joint cumulant of the (possibly repeated) indices from a moment table."""
     idx = tuple(int(v) for v in idx)
     k = len(idx)
     if not 1 <= k <= MAX_ORDER:
         raise ValidationError(f"cumulant order must be in 1..{MAX_ORDER}, got {k}")
     total = 0.0
     for partition in set_partitions(k):
-        if skip_singletons and any(len(block) == 1 for block in partition):
-            continue
         L = len(partition)
         term = -math.factorial(L - 1) if L % 2 == 0 else math.factorial(L - 1)
         for block in partition:

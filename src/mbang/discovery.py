@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .cumulants import (
     source_cumulants,
 )
 from .errors import SchemaError, ValidationError
-from .graphs import BidirectedGraph, MixedGraph, bidirected_subdivision
+from .graphs import BidirectedGraph, MixedGraph, bidirected_subdivision, graph_to_json_dict, vertex_count
 from .sem import (
     Dataset,
     LsemSpec,
@@ -36,7 +36,6 @@ from .sem import (
 EXACT_EPS = 1e-9
 
 _ZERO_TEST_MODES = ("threshold", "exact")
-_RELAXATION_VARIANTS = ("listing", "prose")
 
 
 @dataclass(frozen=True)
@@ -46,36 +45,23 @@ class DiscoveryConfig:
     ``cumulant_tolerance`` is the nonzero-test threshold on (standardized)
     sample cumulants.  ``zero_test_mode='exact'`` replaces it with 1e-9, the
     right scale for population-oracle runs.  The relaxed test also accepts an
-    order-(k+2) entry with one index repeated; the ``listing`` variant repeats
-    a clique member, the ``prose`` variant may also repeat the candidate.
+    order-(k+2) entry that repeats one clique member.
     """
 
     cumulant_tolerance: float = 0.05
     standardize: bool = True
     relaxed_test: bool = True
     zero_test_mode: str = "threshold"
-    relaxation_variant: str = "listing"
 
     def __post_init__(self):
         if not np.isfinite(self.cumulant_tolerance) or self.cumulant_tolerance < 0:
             raise ValidationError("cumulant tolerance must be finite and >= 0")
         if self.zero_test_mode not in _ZERO_TEST_MODES:
             raise ValidationError(f"zero_test_mode must be one of {_ZERO_TEST_MODES}")
-        if self.relaxation_variant not in _RELAXATION_VARIANTS:
-            raise ValidationError(f"relaxation_variant must be one of {_RELAXATION_VARIANTS}")
 
     @property
     def threshold(self) -> float:
         return EXACT_EPS if self.zero_test_mode == "exact" else self.cumulant_tolerance
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cumulant_tolerance": self.cumulant_tolerance,
-            "standardize": self.standardize,
-            "relaxed_test": self.relaxed_test,
-            "zero_test_mode": self.zero_test_mode,
-            "relaxation_variant": self.relaxation_variant,
-        }
 
 
 @dataclass(frozen=True)
@@ -144,7 +130,7 @@ def first_stage_from_json_dict(obj, strict: bool = True) -> FirstStageResult:
     if not isinstance(obj, dict):
         raise SchemaError("first-stage document must be a JSON object")
     try:
-        p = int(obj["p"])
+        p = vertex_count(obj["p"])
         directed = frozenset((int(i), int(j)) for i, j in obj.get("directed", []))
         pairs = frozenset(frozenset((int(i), int(j))) for i, j in obj.get("bidirected", []))
         B = np.asarray(obj["B"], dtype=float)
@@ -250,7 +236,7 @@ def cumulant_test(provider, R, v: int, cfg: DiscoveryConfig):
     """Gate for extending the ordered clique R by candidate v.
 
     Passes when |C^(k+1)_{R,v}| exceeds the threshold, or (relaxed) when some
-    repeat index j gives |C^(k+2)_{R,v,j}| above it.  An empty R passes
+    clique member j, repeated, gives |C^(k+2)_{R,v,j}| above it.  An empty R passes
     unconditionally: the order-1 cumulant of centered data carries no signal,
     so the first vertex is always admitted.
 
@@ -271,8 +257,7 @@ def cumulant_test(provider, R, v: int, cfg: DiscoveryConfig):
             "value": value,
         }
     if cfg.relaxed_test:
-        pool = R if cfg.relaxation_variant == "listing" else idx
-        for j in pool:
+        for j in R:
             value2 = provider.entry(idx + (j,))
             if abs(value2) > thr:
                 return True, {
@@ -324,6 +309,17 @@ def find_multidirected(provider, bg: BidirectedGraph, cfg: DiscoveryConfig | Non
     return edges, diagnostics
 
 
+class _AlwaysNonzero:
+    def entry(self, idx) -> float:
+        return 1.0
+
+
+def enumerate_cliques(bg: BidirectedGraph) -> list[frozenset[int]]:
+    """All maximal cliques with >= 2 vertices, sorted: the walk with an always-passing gate."""
+    _, diagnostics = find_multidirected(_AlwaysNonzero(), bg)
+    return [frozenset(d["edge"]) for d in diagnostics]
+
+
 @dataclass(frozen=True)
 class DiscoveryResult:
     """Recovered graph, the effects estimate used, and per-merge diagnostics."""
@@ -334,11 +330,9 @@ class DiscoveryResult:
     diagnostics: tuple[dict, ...] = ()
 
     def to_json_dict(self) -> dict:
-        from .graphs import graph_to_json_dict
-
         out = graph_to_json_dict(self.graph)
         out["B_hat"] = [[float(x) for x in row] for row in self.B_hat]
-        out["config"] = self.config.to_json_dict()
+        out["config"] = asdict(self.config)
         out["diagnostics"] = list(self.diagnostics)
         return out
 

@@ -125,9 +125,6 @@ class BidirectedGraph:
             out[b].add(a)
         return {v: frozenset(s) for v, s in out.items()}
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
 
 def topological_order(g: MixedGraph) -> list[int]:
     """Vertices ordered so that every directed edge points forward.
@@ -263,27 +260,11 @@ def has_k_trek(g: MixedGraph, t) -> bool:
     return find_k_trek(g, t) is not None
 
 
-def enumerate_cliques(bg: BidirectedGraph) -> list[frozenset[int]]:
-    """All maximal cliques with >= 2 vertices, in deterministic sorted order.
-
-    Plain pivotless Bron-Kerbosch on the bidirected adjacency.  Isolated
-    vertices (maximal cliques of size 1) are dropped.
-    """
-    adj = bg.adjacency
-    found: set[frozenset[int]] = set()
-
-    def expand(r: frozenset[int], p: set[int], q: set[int]):
-        if not p and not q:
-            if len(r) >= 2:
-                found.add(r)
-            return
-        for v in sorted(p):
-            expand(r | {v}, p & adj[v], q & adj[v])
-            p = p - {v}
-            q = q | {v}
-
-    expand(frozenset(), set(range(1, bg.p + 1)), set())
-    return sorted(found, key=lambda c: tuple(sorted(c)))
+def vertex_count(value) -> int:
+    """The ``"p"`` field of a JSON document; ValueError unless it is integral."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"p must be an integer, got {value!r}")
+    return int(value)
 
 
 def graph_to_json_dict(g: MixedGraph) -> dict:
@@ -298,7 +279,7 @@ def graph_from_json_dict(obj) -> MixedGraph:
     if not isinstance(obj, dict):
         raise SchemaError("graph document must be a JSON object")
     try:
-        p = int(obj["p"])
+        p = vertex_count(obj["p"])
         directed = [(int(i), int(j)) for i, j in obj.get("directed", [])]
         multi = [[int(v) for v in h] for h in obj.get("multi", [])]
     except (KeyError, TypeError, ValueError) as exc:

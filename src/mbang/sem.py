@@ -71,9 +71,6 @@ class HiddenSource:
         if not all(np.isfinite(self.loadings)):
             raise ValidationError("loadings must be finite")
 
-    def loading_of(self, v: int) -> float:
-        return self.loadings[sorted(self.members).index(v)]
-
 
 @dataclass(frozen=True)
 class LsemSpec:
@@ -180,29 +177,18 @@ def center_rows(data: Dataset) -> Dataset:
     return Dataset(data.values - data.values.mean(axis=1, keepdims=True), data.labels)
 
 
-BOW_RULES = ("trim_parent", "drop_edge")
-
-
-def marginalize(
-    dag: MixedGraph,
-    hidden,
-    bow_rule: str = "trim_parent",
-) -> tuple[MixedGraph, dict[int, int]]:
+def marginalize(dag: MixedGraph, hidden) -> tuple[MixedGraph, dict[int, int]]:
     """Hide parentless vertices of a DAG and return the canonical mixed graph.
 
     Each hidden vertex with m >= 2 children becomes one m-directed edge among
     those children; hidden vertices with fewer children vanish (their effect
-    folds into noise).  Bows created by the marginalization are then removed:
-
-    * ``trim_parent``: drop the parent endpoint from the multidirected edge,
-      deleting the edge if fewer than 2 members remain (default);
-    * ``drop_edge``: delete the directed edge instead.
+    folds into noise).  Bows created by the marginalization are then removed
+    by dropping the parent endpoint from the multidirected edge, deleting the
+    edge if fewer than 2 members remain.
 
     Returns the relabeled graph on observed vertices 1..p_obs plus the
     old-to-new label map.
     """
-    if bow_rule not in BOW_RULES:
-        raise ValidationError(f"bow_rule must be one of {BOW_RULES}")
     if dag.multi:
         raise ValidationError("marginalize expects a DAG (no multidirected edges)")
     hidden = {int(v) for v in hidden}
@@ -226,21 +212,15 @@ def marginalize(
             raw_edges.append(tuple(relabel[c] for c in kids))
 
     multi: set[frozenset[int]] = set()
-    if bow_rule == "drop_edge":
-        for members in sorted(raw_edges):
-            mset = set(members)
-            directed -= {(i, j) for (i, j) in directed if i in mset and j in mset}
+    for members in sorted(raw_edges):
+        mset = set(members)
+        while True:
+            bows = sorted((i, j) for (i, j) in directed if i in mset and j in mset)
+            if not bows:
+                break
+            mset.discard(bows[0][0])
+        if len(mset) >= 2:
             multi.add(frozenset(mset))
-    else:
-        for members in sorted(raw_edges):
-            mset = set(members)
-            while True:
-                bows = sorted((i, j) for (i, j) in directed if i in mset and j in mset)
-                if not bows:
-                    break
-                mset.discard(bows[0][0])
-            if len(mset) >= 2:
-                multi.add(frozenset(mset))
 
     return MixedGraph(len(observed), frozenset(directed), frozenset(multi)), relabel
 
@@ -257,7 +237,6 @@ def random_bowfree(
     noise: Noise | Sequence[Noise],
     seed=None,
     hide_prob: float = 0.5,
-    bow_rule: str = "trim_parent",
 ) -> tuple[LsemSpec, MixedGraph]:
     """Generate a random bow-free acyclic mixed-graph model.
 
@@ -285,7 +264,7 @@ def random_bowfree(
         if not dag.parents(v) and len(dag.children(v)) >= 2
     ]
     hid = {v for v in candidates if rng.random() < hide_prob}
-    obs_graph, _ = marginalize(dag, hid, bow_rule=bow_rule)
+    obs_graph, _ = marginalize(dag, hid)
 
     p_obs = obs_graph.p
     B = np.zeros((p_obs, p_obs))

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -98,8 +99,8 @@ class TestRunBenchmark:
         # which guards against the scorer trivially reporting success
         base = TrialConfig(p_pre=7, edges=8, noise="t10", n=10000, trials=25, seed=11)
         _, healthy = run_benchmark(base)
-        _, strict = run_benchmark(TrialConfig(**{**base.to_json_dict(), "relaxed_test": False}))
-        _, blinded = run_benchmark(TrialConfig(**{**base.to_json_dict(), "cumulant_tolerance": 1e9}))
+        _, strict = run_benchmark(TrialConfig(**{**asdict(base), "relaxed_test": False}))
+        _, blinded = run_benchmark(TrialConfig(**{**asdict(base), "cumulant_tolerance": 1e9}))
         assert strict["graph_exact_rate"] < healthy["graph_exact_rate"]
         assert blinded["graph_exact_rate"] < healthy["graph_exact_rate"]
 

@@ -363,3 +363,47 @@ def test_library_parity_with_cli_discover(case2_files, tmp_path):
     direct = run_mbang(read_dataset_csv(data_path), oracle_first_stage(spec),
                        DiscoveryConfig())
     assert doc == direct.to_json_dict()
+
+
+# Each bad input must end in its documented exit code, returned or raised by
+# argparse as SystemExit; any other exception escaping main fails the test.
+BAD_INPUTS = [
+    ("simulate-negative-seed", ["simulate", "--spec", "{spec}", "--n", "5", "--seed", "-1",
+                                "--out", "{tmp}/x.csv"], 2),
+    ("discover-negative-seed", ["discover", "--data", "{data}", "--oracle-spec", "{spec}",
+                                "--seed", "-1", "--out", "{tmp}/g.json"], 2),
+    ("benchmark-negative-seed", ["benchmark", "--trials", "1", "--seed", "-1"], 2),
+    ("config-file-negative-seed", ["benchmark", "--config", "{neg_seed_config}"], 3),
+    ("treks-non-integer-tuple", ["treks", "--graph", "{graph}", "--tuple", "1,a"], 2),
+    ("simulate-into-missing-directory", ["simulate", "--spec", "{spec}", "--n", "5", "--seed", "1",
+                                         "--out", "{tmp}/missing/x.bin", "--format", "bin"], 3),
+    ("simulate-onto-a-directory", ["simulate", "--spec", "{spec}", "--n", "5", "--seed", "1",
+                                   "--out", "{tmp}"], 3),
+    ("dot-into-missing-directory", ["graph-tools", "dot", "--graph", "{graph}",
+                                    "--out", "{tmp}/missing/g.dot"], 3),
+    ("graph-with-non-integral-p", ["graph-tools", "info", "--graph", "{fractional_graph}"], 3),
+    ("stage-with-non-integral-p", ["discover", "--data", "{data}", "--stage", "{fractional_stage}",
+                                   "--out", "{tmp}/g.json"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
+    files = {"spec": spec_file, "tmp": str(tmp_path)}
+    for name, doc in (
+        ("neg_seed_config", {"trials": 1, "seed": -1}),
+        ("fractional_graph", {"p": 2.5, "directed": [], "multi": []}),
+        ("fractional_stage", {"p": 5.5, "directed": [], "bidirected": [], "B": [[0.0] * 5] * 5}),
+    ):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    files["graph"] = str(tmp_path / "g.json")
+    save_graph(showcase_mixed(), files["graph"])
+    files["data"] = str(tmp_path / "d.csv")
+    write_dataset_csv(simulate(showcase_spec(), 50, seed=1), files["data"])
+    try:
+        rc = main([arg.format(**files) for arg in argv])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code

@@ -115,15 +115,6 @@ class TestCumulantFromMoments:
         table = sample_moments(data, 2)
         assert cumulant_from_moments(table, (1, 2)) == pytest.approx(0.0, abs=0.01)
 
-    def test_skip_singletons_matches_full_sum_on_centered_data(self):
-        rng = np.random.default_rng(10)
-        data = center_rows(Dataset(rng.exponential(size=(3, 400)) - 1.0))
-        table = sample_moments(data, 6)
-        for idx in [(1, 2, 3), (1, 1, 2, 3), (1, 2, 2, 3, 3, 3)]:
-            full = cumulant_from_moments(table, idx)
-            skipped = cumulant_from_moments(table, idx, skip_singletons=True)
-            assert abs(full - skipped) <= 1e-12
-
     def test_order_cap(self):
         with pytest.raises(ValidationError):
             cumulant_from_moments(MomentTable({}), (1,) * 9)

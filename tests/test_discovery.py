@@ -378,15 +378,6 @@ class TestRunMbang:
         with pytest.raises(ValidationError):
             run_mbang(data, other)
 
-    def test_prose_relaxation_variant_smoke(self):
-        spec = case2_spec()
-        data = simulate(spec, 20000, seed=4)
-        listing = run_mbang(data, oracle_first_stage(spec))
-        prose = run_mbang(
-            data, oracle_first_stage(spec), DiscoveryConfig(relaxation_variant="prose")
-        )
-        assert listing.graph == prose.graph
-
     def test_diagnostics_trace_each_admission(self):
         spec = case2_spec()
         result = run_mbang_population(spec)

@@ -189,14 +189,9 @@ class TestMarginalize:
         # creates a bow with the first edge, so 1 is trimmed out and the edge
         # dies; the second edge survives
         dag = MixedGraph(5, {(2, 1), (2, 4), (3, 4), (3, 5), (1, 4)})
-        got, relabel = marginalize(dag, {2, 3}, bow_rule="trim_parent")
+        got, relabel = marginalize(dag, {2, 3})
         assert relabel == {1: 1, 4: 2, 5: 3}
         assert got == MixedGraph(3, {(1, 2)}, [{2, 3}])
-
-    def test_bow_dropping_removes_directed_edge(self):
-        dag = MixedGraph(5, {(2, 1), (2, 4), (3, 4), (3, 5), (1, 4)})
-        got, _ = marginalize(dag, {2, 3}, bow_rule="drop_edge")
-        assert got == MixedGraph(3, frozenset(), [{1, 2}, {2, 3}])
 
     def test_result_is_bow_free(self):
         rng = np.random.default_rng(14)
@@ -211,9 +206,8 @@ class TestMarginalize:
                 for v in range(1, p + 1)
                 if not dag.parents(v) and len(dag.children(v)) >= 2 and rng.random() < 0.5
             }
-            for rule in ("trim_parent", "drop_edge"):
-                got, _ = marginalize(dag, hidden, bow_rule=rule)
-                assert is_bow_free(got) and is_acyclic(got)
+            got, _ = marginalize(dag, hidden)
+            assert is_bow_free(got) and is_acyclic(got)
 
 
 class TestRandomBowfree:
@@ -263,11 +257,6 @@ class TestRandomBowfree:
         assert [sorted(s.members) for s in spec.hidden] == [
             list(h) for h in sorted_multi(truth.multi)
         ]
-
-    def test_drop_edge_rule_also_yields_valid_models(self):
-        for seed in range(20):
-            spec, truth = random_bowfree(7, 12, CHI2, seed=seed, bow_rule="drop_edge")
-            assert is_acyclic(truth) and is_bow_free(truth)
 
     def test_hide_prob_extremes(self):
         spec, truth = random_bowfree(7, 8, CHI2, seed=0, hide_prob=0.0)
