@@ -8,7 +8,6 @@ from .cumulants import (
     population_cumulant_tensor,
     sample_cumulant_tensor,
     sample_moments,
-    set_partitions,
 )
 from .discovery import (
     DiscoveryConfig,

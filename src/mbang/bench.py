@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,13 +45,15 @@ class TrialConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("p_pre", "n", "trials", "workers"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive")
-        for name in ("edges", "seed"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
+        counts = (("p_pre", 1), ("n", 1), ("trials", 1), ("workers", 1), ("edges", 0), ("seed", 0))
+        for name, least in counts:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not 0.0 <= self.hide_prob <= 1.0:
+            raise ValidationError(f"hide_prob must be in [0, 1], got {self.hide_prob!r}")
         noise_from_tag(self.noise)
+        self.discovery_config()
 
     def discovery_config(self) -> DiscoveryConfig:
         return DiscoveryConfig(

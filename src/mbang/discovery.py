@@ -17,13 +17,12 @@ import numpy as np
 
 from .cumulants import (
     MAX_ORDER,
-    MomentTable,
     cumulant_from_moments,
     population_cumulant_entry,
     source_cumulants,
 )
 from .errors import SchemaError, ValidationError
-from .graphs import BidirectedGraph, MixedGraph, bidirected_subdivision, graph_to_json_dict, vertex_count
+from .graphs import BidirectedGraph, MixedGraph, bidirected_subdivision, graph_to_json_dict, vertex_label
 from .sem import (
     Dataset,
     LsemSpec,
@@ -130,9 +129,11 @@ def first_stage_from_json_dict(obj, strict: bool = True) -> FirstStageResult:
     if not isinstance(obj, dict):
         raise SchemaError("first-stage document must be a JSON object")
     try:
-        p = vertex_count(obj["p"])
-        directed = frozenset((int(i), int(j)) for i, j in obj.get("directed", []))
-        pairs = frozenset(frozenset((int(i), int(j))) for i, j in obj.get("bidirected", []))
+        p = vertex_label(obj["p"])
+        directed = frozenset((vertex_label(i), vertex_label(j)) for i, j in obj.get("directed", []))
+        pairs = frozenset(
+            frozenset((vertex_label(i), vertex_label(j))) for i, j in obj.get("bidirected", [])
+        )
         B = np.asarray(obj["B"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed first-stage document: {exc}") from exc
@@ -161,9 +162,10 @@ def load_first_stage(path, strict: bool = True) -> FirstStageResult:
 class SampleCumulants:
     """Lazily computed plug-in cumulants of a fixed data matrix.
 
-    Moments and cumulant entries are memoized per sorted index; the recursion
+    Moments and cumulant entries are memoized per sorted index; the clique walk
     only ever touches indices inside bidirected cliques, so nothing close to a
-    full high-order tensor is materialized.
+    full high-order tensor is materialized.  The provider is its own moment
+    table: ``get`` serves ``cumulant_from_moments``.
     """
 
     def __init__(self, data):
@@ -171,7 +173,6 @@ class SampleCumulants:
         self._rows = mat - mat.mean(axis=1, keepdims=True)
         self._moments: dict[tuple[int, ...], float] = {}
         self._entries: dict[tuple[int, ...], float] = {}
-        self._table = _LazyMomentTable(self)
 
     def _moment(self, key: tuple[int, ...]) -> float:
         try:
@@ -184,6 +185,9 @@ class SampleCumulants:
             self._moments[key] = value
             return value
 
+    def get(self, idx) -> float:
+        return self._moment(tuple(sorted(int(v) for v in idx)))
+
     def entry(self, idx) -> float:
         key = tuple(sorted(int(v) for v in idx))
         if not 1 <= len(key) <= MAX_ORDER:
@@ -191,18 +195,9 @@ class SampleCumulants:
         try:
             return self._entries[key]
         except KeyError:
-            value = cumulant_from_moments(self._table, key)
+            value = cumulant_from_moments(self, key)
             self._entries[key] = value
             return value
-
-
-class _LazyMomentTable(MomentTable):
-    def __init__(self, owner: SampleCumulants):
-        super().__init__({})
-        self._owner = owner
-
-    def get(self, idx) -> float:
-        return self._owner._moment(tuple(sorted(int(v) for v in idx)))
 
 
 class PopulationCumulants:
@@ -300,7 +295,16 @@ def find_multidirected(provider, bg: BidirectedGraph, cfg: DiscoveryConfig | Non
             P = P - {v}
             Q = Q | {v}
 
-    walk((), set(range(1, bg.p + 1)), set(), ())
+    try:
+        walk((), set(range(1, bg.p + 1)), set(), ())
+    except BaseException:
+        # The closure refers to itself; after a refused order, clear it so the
+        # provider's data goes when the caller drops the exception, not at the
+        # next full collection.  A normal return leaves the cycle to the
+        # collector: freeing the data on every call made each following call
+        # regrow the heap and fault its pages in again.
+        del walk
+        raise
     edges = set(reported)
     diagnostics = [
         {"edge": sorted(e), "source": "merged", "tests": reported[e]}

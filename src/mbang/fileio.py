@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import noise_from_json_dict, noise_to_json_dict
 from .errors import SchemaError
-from .graphs import MixedGraph, graph_from_json_dict, graph_to_json_dict
+from .graphs import MixedGraph, graph_from_json_dict, graph_to_json_dict, vertex_label
 from .sem import Dataset, HiddenSource, LsemSpec
 
 MAGIC = b"MBD1"
@@ -126,7 +126,7 @@ def spec_from_json_dict(obj) -> LsemSpec:
         noise = tuple(noise_from_json_dict(nz) for nz in obj["noise"])
         hidden = tuple(
             HiddenSource(
-                frozenset(int(v) for v in item["members"]),
+                frozenset(vertex_label(v) for v in item["members"]),
                 tuple(float(x) for x in item["loadings"]),
                 noise_from_json_dict(item["noise"]),
             )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -260,11 +261,17 @@ def has_k_trek(g: MixedGraph, t) -> bool:
     return find_k_trek(g, t) is not None
 
 
-def vertex_count(value) -> int:
-    """The ``"p"`` field of a JSON document; ValueError unless it is integral."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"p must be an integer, got {value!r}")
-    return int(value)
+def vertex_label(value) -> int:
+    """A vertex label, or the vertex count ``p``, read from a JSON document.
+
+    ValueError unless it is an integral, finite number; a bool is not one.
+    Range checks stay with the graph constructors.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def graph_to_json_dict(g: MixedGraph) -> dict:
@@ -279,9 +286,9 @@ def graph_from_json_dict(obj) -> MixedGraph:
     if not isinstance(obj, dict):
         raise SchemaError("graph document must be a JSON object")
     try:
-        p = vertex_count(obj["p"])
-        directed = [(int(i), int(j)) for i, j in obj.get("directed", [])]
-        multi = [[int(v) for v in h] for h in obj.get("multi", [])]
+        p = vertex_label(obj["p"])
+        directed = [(vertex_label(i), vertex_label(j)) for i, j in obj.get("directed", [])]
+        multi = [[vertex_label(v) for v in h] for h in obj.get("multi", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed graph document: {exc}") from exc
     return MixedGraph(p, frozenset(directed), frozenset(frozenset(h) for h in multi))

@@ -2,13 +2,21 @@
 
 The oracles here deliberately re-derive quantities along different routes than
 the package (numerical inverse instead of Neumann series, moment expansion
-instead of direct cumulant aggregation, subset enumeration instead of
+instead of direct cumulant aggregation, the signed sum over set partitions
+instead of the subset recursion, subset enumeration instead of
 Bron-Kerbosch) so the tests do not just compare code with itself.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -21,7 +29,8 @@ from mbang import (
     Noise,
     is_bow_free,
 )
-from mbang.cumulants import MomentTable, cumulant_from_moments
+from mbang.cumulants import MAX_ORDER, MomentTable
+from mbang.errors import ValidationError
 from mbang.graphs import sorted_multi
 
 CHI2 = Noise("chi2", (2.0,))
@@ -238,7 +247,7 @@ def oracle_population_cumulant(spec: LsemSpec, idx) -> float:
         key: oracle_population_moment(W, sources, key)
         for key in _all_sub_multisets(idx)
     }
-    return cumulant_from_moments(MomentTable(table), idx)
+    return bell_cumulant(MomentTable(table), idx)
 
 
 def _all_sub_multisets(idx):
@@ -247,3 +256,59 @@ def _all_sub_multisets(idx):
         for sub in itertools.combinations(range(len(idx)), r):
             out.add(tuple(sorted(idx[i] for i in sub)))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def set_partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All partitions of positions {0, ..., k-1}, each a tuple of sorted blocks.
+
+    Enumerated through restricted growth strings and cached per k.
+    """
+    if not 0 <= k <= MAX_ORDER:
+        raise ValidationError(f"partition order must be in 0..{MAX_ORDER}")
+    if k == 0:
+        return ((),)
+    out = []
+    labels = [0] * k
+
+    def step(i: int, top: int):
+        if i == k:
+            blocks: dict[int, list[int]] = {}
+            for pos, lab in enumerate(labels):
+                blocks.setdefault(lab, []).append(pos)
+            out.append(tuple(tuple(b) for _, b in sorted(blocks.items())))
+            return
+        for lab in range(top + 2):
+            labels[i] = lab
+            step(i + 1, max(top, lab))
+
+    step(1, 0)
+    return tuple(out)
+
+
+def bell_cumulant(moments, idx) -> float:
+    """Joint cumulant as the signed sum over set partitions of the positions:
+    sum over (A_1, ..., A_L) of (-1)^(L-1) (L-1)! prod_l m(A_l)."""
+    idx = tuple(int(v) for v in idx)
+    total = 0.0
+    for partition in set_partitions(len(idx)):
+        L = len(partition)
+        term = -math.factorial(L - 1) if L % 2 == 0 else math.factorial(L - 1)
+        for block in partition:
+            term *= moments.get(tuple(idx[pos] for pos in block))
+        total += term
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def seed1_pass() -> dict:
+    """The result of ``seed1_pass.py``, run once per test session in a fresh
+    interpreter with BLAS pinned to one thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    script = pathlib.Path(__file__).with_name("seed1_pass.py")
+    proc = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=600
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"seed1_pass.py exited with {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])

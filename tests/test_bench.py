@@ -120,6 +120,14 @@ class TestRunBenchmark:
         with pytest.raises(ValidationError):
             TrialConfig(noise="gauss")
 
+    @pytest.mark.parametrize("knob", [
+        {"n": 2.5}, {"trials": True}, {"edges": 1.0}, {"hide_prob": 2.0}, {"hide_prob": float("nan")},
+        {"cumulant_tolerance": float("nan")}, {"cumulant_tolerance": -1.0},
+    ])
+    def test_bad_knob_refused_at_construction(self, knob):
+        with pytest.raises(ValidationError):
+            TrialConfig(**knob)
+
 
 class TestEmission:
     def test_csv_schema_and_round_trip(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -384,6 +385,15 @@ BAD_INPUTS = [
     ("graph-with-non-integral-p", ["graph-tools", "info", "--graph", "{fractional_graph}"], 3),
     ("stage-with-non-integral-p", ["discover", "--data", "{data}", "--stage", "{fractional_stage}",
                                    "--out", "{tmp}/g.json"], 3),
+    ("graph-with-fractional-vertex", ["graph-tools", "info", "--graph", "{fractional_vertex_graph}"], 3),
+    ("graph-with-infinite-vertex", ["graph-tools", "info", "--graph", "{infinite_vertex_graph}"], 3),
+    ("stage-with-bool-vertex", ["discover", "--data", "{data}", "--stage", "{bool_vertex_stage}",
+                                "--out", "{tmp}/g.json"], 3),
+    ("spec-with-fractional-member", ["simulate", "--spec", "{fractional_member_spec}", "--n", "5",
+                                     "--seed", "1", "--out", "{tmp}/x.csv"], 3),
+    ("config-file-fractional-n", ["benchmark", "--config", "{fractional_n_config}"], 3),
+    ("benchmark-nan-tolerance", ["benchmark", "--trials", "1", "--tolerance", "nan"], 3),
+    ("benchmark-hide-prob-above-one", ["benchmark", "--trials", "1", "--hide-prob", "2"], 3),
 ]
 
 
@@ -391,10 +401,17 @@ BAD_INPUTS = [
                          ids=[case[0] for case in BAD_INPUTS])
 def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
     files = {"spec": spec_file, "tmp": str(tmp_path)}
+    spec_doc = json.loads(pathlib.Path(spec_file).read_text())
+    spec_doc["hidden_sources"][0]["members"][0] = 2.5
     for name, doc in (
         ("neg_seed_config", {"trials": 1, "seed": -1}),
+        ("fractional_n_config", {"n": 2.5}),
         ("fractional_graph", {"p": 2.5, "directed": [], "multi": []}),
+        ("fractional_vertex_graph", {"p": 3, "directed": [[1.5, 2]], "multi": []}),
+        ("infinite_vertex_graph", {"p": 3, "directed": [[float("inf"), 2]], "multi": []}),
         ("fractional_stage", {"p": 5.5, "directed": [], "bidirected": [], "B": [[0.0] * 5] * 5}),
+        ("bool_vertex_stage", {"p": 5, "directed": [], "bidirected": [[True, 2]], "B": [[0.0] * 5] * 5}),
+        ("fractional_member_spec", spec_doc),
     ):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))

@@ -12,8 +12,8 @@ from mbang import (
     population_cumulant_tensor,
     sample_cumulant_tensor,
     sample_moments,
-    set_partitions,
     simulate,
+    standardize_rows,
 )
 from mbang.cumulants import (
     CumulantTensor,
@@ -21,20 +21,25 @@ from mbang.cumulants import (
     tensor_from_json_dict,
     tensor_to_json_dict,
 )
+from mbang.discovery import SampleCumulants
 from mbang.errors import SchemaError
 
 from helpers import (
     SKEWED,
+    bell_cumulant,
     case1_spec,
     case2_spec,
     oracle_population_cumulant,
     random_mixed_graph,
     random_spec,
+    set_partitions,
 )
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
 
+# The oracle's partitions (tests/helpers.py), which the Bell-sum oracle below
+# is built on.
 class TestPartitions:
     @pytest.mark.parametrize("k", sorted(BELL))
     def test_counts_are_bell_numbers(self, k):
@@ -118,6 +123,36 @@ class TestCumulantFromMoments:
     def test_order_cap(self):
         with pytest.raises(ValidationError):
             cumulant_from_moments(MomentTable({}), (1,) * 9)
+
+
+# Orders 1..8 with repeated indices (the relaxed test's shape (1, 2, 3, 3)),
+# in sorted and unsorted order.
+RECURSION_CASES = [
+    (1,), (2, 3), (3, 3), (1, 2, 3), (1, 2, 3, 3), (2, 3, 4, 4, 4), (1, 2, 2, 3, 4, 4),
+    (4, 1, 3, 3, 1, 2, 4), (1, 1, 2, 2, 3, 3, 4, 4), (3, 4, 2, 1, 4, 3, 2, 1), (4,) * 8,
+]
+
+
+class TestRecursionMatchesBellSum:
+    """The subset recursion against the signed sum over all Bell(k) partitions."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return standardize_rows(center_rows(simulate(case2_spec(), 4000, seed=41)))
+
+    @pytest.mark.parametrize("idx", RECURSION_CASES)
+    def test_moment_table(self, data, idx):
+        table = sample_moments(data, len(idx))
+        assert cumulant_from_moments(table, idx) == pytest.approx(
+            bell_cumulant(table, idx), rel=1e-12, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("idx", RECURSION_CASES)
+    def test_sample_provider(self, data, idx):
+        provider = SampleCumulants(data)
+        assert provider.entry(idx) == pytest.approx(
+            bell_cumulant(provider, idx), rel=1e-12, abs=1e-12
+        )
 
 
 class TestSampleTensor:
