@@ -8,10 +8,10 @@ index) only, so the same graphs recur across sample sizes and worker counts.
 from __future__ import annotations
 
 import csv
-import json
 import numbers
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -22,7 +22,7 @@ from .discovery import (
     run_mbang,
 )
 from .distributions import noise_from_tag
-from .errors import ValidationError
+from .errors import MbangError, ValidationError
 from .graphs import MixedGraph, bidirected_subdivision
 from .sem import random_bowfree, simulate
 
@@ -122,7 +122,7 @@ def _run_trial(cfg: TrialConfig, trial: int) -> TrialOutcome:
             and stage.bidirected.pairs == bidirected_subdivision(truth).pairs
         )
         result = run_mbang(Y, stage, cfg.discovery_config())
-    except Exception as exc:  # trial-level failures are recorded, not fatal
+    except MbangError as exc:  # trial-level failures are recorded, not fatal
         wall = (time.perf_counter() - start) * 1000.0
         edge_total = len(truth.multi)
         sub_total = len(bidirected_subdivision(truth).pairs)
@@ -183,10 +183,12 @@ def aggregate_outcomes(cfg: TrialConfig, outcomes) -> dict:
         if o.subdivision_total > 0
     ]
     conditional = _rate(o.graph_exact for o in outcomes if o.stage_exact)
+    errors = Counter(o.error.partition(": ")[0] for o in outcomes if o.error is not None)
     return {
         "config": asdict(cfg),
         "trials": len(outcomes),
-        "failed_trials": sum(1 for o in outcomes if o.error is not None),
+        "failed_trials": sum(errors.values()),
+        "errors": dict(errors),
         "graph_exact_rate": _rate(o.graph_exact for o in outcomes),
         "edge_recovery_rate": _rate(edge_ratios),
         "subdivision_recovery_rate": _rate(sub_ratios),
@@ -221,9 +223,3 @@ def write_trials_csv(cfg: TrialConfig, outcomes, path):
                     "wall_ms": f"{o.wall_ms:.3f}",
                 }
             )
-
-
-def write_aggregate_json(aggregate: dict, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -30,6 +30,7 @@ from .graphs import (
     graph_to_dot,
     is_acyclic,
     is_bow_free,
+    vertex_label,
 )
 from .sem import center_rows, simulate
 
@@ -99,14 +100,31 @@ def _cmd_treks(args) -> int:
     return 0
 
 
+def _index_keys(wanted, order: int, p: int) -> set[tuple[int, ...]]:
+    """Sorted index tuples from an --indices document: lists of ``order`` labels in 1..p."""
+    if not isinstance(wanted, list):
+        raise SchemaError("--indices file must hold a JSON list of index lists")
+    keys = set()
+    for idx in wanted:
+        try:
+            key = tuple(sorted(vertex_label(v) for v in idx))
+        except (TypeError, ValueError):
+            key = None
+        if key is None or len(key) != order or not all(1 <= v <= p for v in key):
+            raise SchemaError(f"index {idx!r} is not a list of {order} vertices in 1..{p}")
+        keys.add(key)
+    return keys
+
+
 def _cmd_cumulants(args) -> int:
     data = fileio.read_dataset(args.data)
+    keys = None
+    if args.indices != "all":
+        keys = _index_keys(fileio.load_json(args.indices), args.order, data.p)
     centered = center_rows(data)
     tensor = sample_cumulant_tensor(centered, args.order)
     doc = tensor_to_json_dict(tensor)
-    if args.indices != "all":
-        wanted = fileio.load_json(args.indices)
-        keys = {tuple(sorted(int(v) for v in idx)) for idx in wanted}
+    if keys is not None:
         doc["entries"] = [e for e in doc["entries"] if tuple(e["idx"]) in keys]
     fileio.save_json(doc, args.out)
     print(f"wrote {len(doc['entries'])} entries of order {args.order} to {args.out}", file=sys.stderr)
@@ -132,7 +150,7 @@ def _cmd_benchmark(args) -> int:
     if args.out_csv:
         bench.write_trials_csv(cfg, outcomes, args.out_csv)
     if args.out_json:
-        bench.write_aggregate_json(aggregate, args.out_json)
+        fileio.save_json(aggregate, args.out_json)
     print(json.dumps(aggregate, indent=2, sort_keys=True))
     return 0
 

@@ -1,4 +1,4 @@
-"""Cumulant tensors: the subset recursion over moments.
+"""Both cumulant engines: the subset recursion over moments and the population oracle.
 
 With m(A) = E[ prod_{a in A} Z_{i_a} ] for a set A of positions of an index
 tuple (i_1, ..., i_k), and s0 the first position of S, the joint cumulant obeys
@@ -7,21 +7,24 @@ tuple (i_1, ..., i_k), and s0 the first position of S, the joint cumulant obeys
 
 (McCullagh 1987, ch. 2-3; Smith 1995): 2^(k-1) - 1 terms at a level of k
 positions, and 3^(k-1) - 2^(k-1) products for one order-k entry (2059 at k = 8).
-Plugging empirical moments in gives the sample estimator; plugging analytic
-source cumulants into the multilinear expansion of X = (I - B^T)^-1 eps gives
-the population oracle.  Orders stop at 8: ``Noise.cumulant`` of t10 ends at
-order 9, and a larger clique is refused by name, which the benchmark under
-perfbench/ scores as a correct refusal.
+Plugging empirical moments of centered rows in gives the sample estimator
+(``cumulant_from_moments``, also behind the lazy ``discovery.SampleCumulants``);
+plugging analytic source cumulants into the multilinear expansion of
+X = (I - B^T)^-1 eps gives the population oracle (``PopulationCumulants``).
+One builder fills the dense tensor from either.  Orders stop at 8:
+``Noise.cumulant`` of t10 ends at order 9, and a larger clique is refused by
+name, which the benchmark under perfbench/ scores as a correct refusal.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .sem import Dataset, LsemSpec, extended_total_effects
 
 MAX_ORDER = 8
@@ -112,49 +115,65 @@ class CumulantTensor:
             raise ValidationError(f"index {key} outside tensor support") from None
 
 
-def sample_cumulant_tensor(data, k: int) -> CumulantTensor:
-    """Plug-in cumulant tensor of centered data (center rows before calling)."""
+def _tensor(make_entry, p: int, k: int) -> CumulantTensor:
+    """Every sorted order-k entry over labels 1..p.  ``make_entry()`` returns
+    the entry function; it runs after the order check, so a refused order
+    computes no moment."""
     if not 2 <= k <= MAX_ORDER:
         raise ValidationError(f"tensor order must be in 2..{MAX_ORDER}, got {k}")
-    mat = _matrix(data)
-    p = mat.shape[0]
-    moments = sample_moments(mat, k)
+    entry = make_entry()
     values = {
-        idx: cumulant_from_moments(moments, idx)
-        for idx in itertools.combinations_with_replacement(range(1, p + 1), k)
+        idx: entry(idx) for idx in itertools.combinations_with_replacement(range(1, p + 1), k)
     }
     return CumulantTensor(k, p, values)
 
 
-def population_cumulant_entry(W: np.ndarray, kappas: np.ndarray, idx) -> float:
-    """One entry of sum_s kappa_k(eps_s) * prod_l W[i_l - 1, s]."""
-    rows = W[[int(v) - 1 for v in idx], :]
-    return float(np.sum(kappas * np.prod(rows, axis=0)))
+def sample_cumulant_tensor(data, k: int) -> CumulantTensor:
+    """Plug-in cumulant tensor of centered data (center rows before calling)."""
+    mat = _matrix(data)
+    return _tensor(
+        lambda: functools.partial(cumulant_from_moments, sample_moments(mat, k)), mat.shape[0], k
+    )
 
 
-def source_cumulants(sources, k: int) -> np.ndarray:
-    return np.array([src.cumulant(k) for src in sources])
-
-
-def population_cumulant_tensor(spec: LsemSpec, k: int) -> CumulantTensor:
-    """Exact cumulant tensor of the model's observed vector.
+class PopulationCumulants:
+    """Exact model cumulants served entry by entry.
 
     Multilinearity over the extended system: independent sources contribute
     only on the diagonal, so the entry at (i_1, ..., i_k) is
-    sum_s kappa_k(eps_s) * prod_l T[i_l, s] with T the total-effects matrix.
+    sum_s kappa_k(eps_s) * prod_l W[i_l, s] with W the total-effects matrix.
     The zero pattern therefore matches the k-trek structure of the graph
     exactly (structural zeros are exact 0.0, not round-off).
     """
-    if not 2 <= k <= MAX_ORDER:
-        raise ValidationError(f"tensor order must be in 2..{MAX_ORDER}, got {k}")
-    W, sources = extended_total_effects(spec)
-    kappas = source_cumulants(sources, k)
-    p = spec.graph.p
-    values = {
-        idx: population_cumulant_entry(W, kappas, idx)
-        for idx in itertools.combinations_with_replacement(range(1, p + 1), k)
-    }
-    return CumulantTensor(k, p, values)
+
+    def __init__(self, W: np.ndarray, sources):
+        self._W = W
+        self._sources = tuple(sources)
+        self._kappas: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def from_spec(cls, spec: LsemSpec, dedirected: bool = True) -> "PopulationCumulants":
+        """Oracle for a model; with ``dedirected`` the direct effects are zeroed
+        first, matching the X = Y - B^T Y step of the pipeline."""
+        if dedirected:
+            spec = replace(spec, B=np.zeros_like(spec.B))
+        return cls(*extended_total_effects(spec))
+
+    def entry(self, idx) -> float:
+        rows = [int(v) - 1 for v in idx]
+        k = len(rows)
+        if not 1 <= k <= MAX_ORDER:
+            raise ValidationError(f"cumulant order must be in 1..{MAX_ORDER}, got {k}")
+        if k not in self._kappas:
+            self._kappas[k] = np.array([src.cumulant(k) for src in self._sources])
+        return float(np.sum(self._kappas[k] * np.prod(self._W[rows, :], axis=0)))
+
+
+def population_cumulant_tensor(spec: LsemSpec, k: int) -> CumulantTensor:
+    """Exact cumulant tensor of the model's observed vector."""
+    return _tensor(
+        lambda: PopulationCumulants.from_spec(spec, dedirected=False).entry, spec.graph.p, k
+    )
 
 
 def tensor_to_json_dict(t: CumulantTensor) -> dict:
@@ -165,21 +184,3 @@ def tensor_to_json_dict(t: CumulantTensor) -> dict:
             {"idx": list(idx), "value": t.values[idx]} for idx in sorted(t.values)
         ],
     }
-
-
-def tensor_from_json_dict(obj) -> CumulantTensor:
-    if not isinstance(obj, dict):
-        raise SchemaError("tensor document must be a JSON object")
-    try:
-        order = int(obj["order"])
-        p = int(obj["p"])
-        values = {
-            tuple(int(v) for v in entry["idx"]): float(entry["value"])
-            for entry in obj["entries"]
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed tensor document: {exc}") from exc
-    for idx in values:
-        if len(idx) != order or tuple(sorted(idx)) != idx:
-            raise SchemaError(f"tensor entry index {idx} must be sorted and of length {order}")
-    return CumulantTensor(order, p, values)

@@ -9,28 +9,16 @@ higher-order cumulant of X.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cumulants import (
-    MAX_ORDER,
-    cumulant_from_moments,
-    population_cumulant_entry,
-    source_cumulants,
-)
+from . import fileio
+from .cumulants import PopulationCumulants, cumulant_from_moments
 from .errors import SchemaError, ValidationError
 from .graphs import BidirectedGraph, MixedGraph, bidirected_subdivision, graph_to_json_dict, vertex_label
-from .sem import (
-    Dataset,
-    LsemSpec,
-    center_rows,
-    dedirect,
-    extended_total_effects,
-    standardize_rows,
-)
+from .sem import Dataset, LsemSpec, center_rows, dedirect, standardize_rows
 
 EXACT_EPS = 1e-9
 
@@ -151,12 +139,7 @@ def first_stage_from_json_dict(obj, strict: bool = True) -> FirstStageResult:
 
 def load_first_stage(path, strict: bool = True) -> FirstStageResult:
     """Read and validate a first-stage JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read first-stage file {path}: {exc}") from exc
-    return first_stage_from_json_dict(obj, strict=strict)
+    return first_stage_from_json_dict(fileio.load_json(path), strict=strict)
 
 
 class SampleCumulants:
@@ -165,12 +148,12 @@ class SampleCumulants:
     Moments and cumulant entries are memoized per sorted index; the clique walk
     only ever touches indices inside bidirected cliques, so nothing close to a
     full high-order tensor is materialized.  The provider is its own moment
-    table: ``get`` serves ``cumulant_from_moments``.
+    table: ``get`` serves ``cumulant_from_moments``.  As for
+    ``sample_cumulant_tensor``, the caller centers the rows.
     """
 
     def __init__(self, data):
-        mat = data.values if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-        self._rows = mat - mat.mean(axis=1, keepdims=True)
+        self._rows = data.values if isinstance(data, Dataset) else np.asarray(data, dtype=float)
         self._moments: dict[tuple[int, ...], float] = {}
         self._entries: dict[tuple[int, ...], float] = {}
 
@@ -190,41 +173,12 @@ class SampleCumulants:
 
     def entry(self, idx) -> float:
         key = tuple(sorted(int(v) for v in idx))
-        if not 1 <= len(key) <= MAX_ORDER:
-            raise ValidationError(f"cumulant order must be in 1..{MAX_ORDER}, got {len(key)}")
         try:
             return self._entries[key]
         except KeyError:
             value = cumulant_from_moments(self, key)
             self._entries[key] = value
             return value
-
-
-class PopulationCumulants:
-    """Exact model cumulants served entry by entry."""
-
-    def __init__(self, W: np.ndarray, sources):
-        self._W = W
-        self._sources = tuple(sources)
-        self._kappas: dict[int, np.ndarray] = {}
-
-    @classmethod
-    def from_spec(cls, spec: LsemSpec, dedirected: bool = True) -> "PopulationCumulants":
-        """Oracle for a model; with ``dedirected`` the direct effects are zeroed
-        first, matching the X = Y - B^T Y step of the pipeline."""
-        if dedirected:
-            graph = MixedGraph(spec.graph.p, frozenset(), spec.graph.multi)
-            spec = LsemSpec(graph, np.zeros_like(spec.B), spec.noise, spec.hidden)
-        W, sources = extended_total_effects(spec)
-        return cls(W, sources)
-
-    def entry(self, idx) -> float:
-        k = len(tuple(idx))
-        if not 1 <= k <= MAX_ORDER:
-            raise ValidationError(f"cumulant order must be in 1..{MAX_ORDER}, got {k}")
-        if k not in self._kappas:
-            self._kappas[k] = source_cumulants(self._sources, k)
-        return population_cumulant_entry(self._W, self._kappas[k], idx)
 
 
 def cumulant_test(provider, R, v: int, cfg: DiscoveryConfig):

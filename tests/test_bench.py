@@ -10,9 +10,9 @@ from mbang.bench import (
     TrialConfig,
     aggregate_outcomes,
     run_benchmark,
-    write_aggregate_json,
     write_trials_csv,
 )
+from mbang.fileio import save_json
 
 
 def small_cfg(**kw):
@@ -91,6 +91,7 @@ class TestRunBenchmark:
         cfg = small_cfg(stage=str(tmp_path), trials=3)  # no stage files present
         outcomes, agg = run_benchmark(cfg)
         assert agg["failed_trials"] == 3
+        assert agg["errors"] == {"SchemaError": 3}
         assert all(o.error is not None and o.recovered is None for o in outcomes)
         assert agg["graph_exact_rate"] == 0.0
 
@@ -146,7 +147,7 @@ class TestEmission:
         cfg = small_cfg(trials=3)
         outcomes, agg = run_benchmark(cfg)
         path = tmp_path / "agg.json"
-        write_aggregate_json(agg, path)
+        save_json(agg, path)
         with open(path) as fh:
             loaded = json.load(fh)
         assert loaded["trials"] == 3

@@ -394,6 +394,20 @@ BAD_INPUTS = [
     ("config-file-fractional-n", ["benchmark", "--config", "{fractional_n_config}"], 3),
     ("benchmark-nan-tolerance", ["benchmark", "--trials", "1", "--tolerance", "nan"], 3),
     ("benchmark-hide-prob-above-one", ["benchmark", "--trials", "1", "--hide-prob", "2"], 3),
+    ("cumulants-indices-fractional-label", ["cumulants", "--data", "{data}", "--order", "3",
+                                           "--indices", "{indices_fractional}", "--out", "{tmp}/t.json"], 3),
+    ("cumulants-indices-bool-label", ["cumulants", "--data", "{data}", "--order", "3",
+                                     "--indices", "{indices_bool}", "--out", "{tmp}/t.json"], 3),
+    ("cumulants-indices-infinite-label", ["cumulants", "--data", "{data}", "--order", "3",
+                                         "--indices", "{indices_infinite}", "--out", "{tmp}/t.json"], 3),
+    ("cumulants-indices-object", ["cumulants", "--data", "{data}", "--order", "3",
+                                 "--indices", "{indices_object}", "--out", "{tmp}/t.json"], 3),
+    ("cumulants-indices-bare-number", ["cumulants", "--data", "{data}", "--order", "3",
+                                      "--indices", "{indices_bare}", "--out", "{tmp}/t.json"], 3),
+    ("cumulants-indices-label-above-p", ["cumulants", "--data", "{data}", "--order", "3",
+                                        "--indices", "{indices_above_p}", "--out", "{tmp}/t.json"], 3),
+    ("cumulants-indices-short-list", ["cumulants", "--data", "{data}", "--order", "3",
+                                     "--indices", "{indices_short}", "--out", "{tmp}/t.json"], 3),
 ]
 
 
@@ -412,6 +426,13 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
         ("fractional_stage", {"p": 5.5, "directed": [], "bidirected": [], "B": [[0.0] * 5] * 5}),
         ("bool_vertex_stage", {"p": 5, "directed": [], "bidirected": [[True, 2]], "B": [[0.0] * 5] * 5}),
         ("fractional_member_spec", spec_doc),
+        ("indices_fractional", [[1.5, 2, 3]]),
+        ("indices_bool", [[True, 2, 3]]),
+        ("indices_infinite", [[float("inf"), 2, 3]]),
+        ("indices_object", {"a": 1}),
+        ("indices_bare", [5]),
+        ("indices_above_p", [[99, 1, 2]]),
+        ("indices_short", [[1, 2]]),
     ):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))

@@ -18,11 +18,9 @@ from mbang import (
 from mbang.cumulants import (
     CumulantTensor,
     MomentTable,
-    tensor_from_json_dict,
     tensor_to_json_dict,
 )
 from mbang.discovery import SampleCumulants
-from mbang.errors import SchemaError
 
 from helpers import (
     SKEWED,
@@ -154,6 +152,14 @@ class TestRecursionMatchesBellSum:
             bell_cumulant(provider, idx), rel=1e-12, abs=1e-12
         )
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_provider_equals_tensor_bit_for_bit(self, data, k):
+        # Both sample routes read the caller's centered rows as given.
+        tensor = sample_cumulant_tensor(data, k)
+        provider = SampleCumulants(data)
+        for idx in tensor.values:
+            assert provider.entry(idx) == tensor.entry(idx)
+
 
 class TestSampleTensor:
     def test_independent_rows_off_diagonal_vanishes(self):
@@ -257,13 +263,14 @@ class TestPopulationTensor:
                     assert is_zero == (not has_k_trek(g, idx))
 
 
-class TestTensorJson:
-    def test_round_trip(self):
-        t = CumulantTensor(2, 2, {(1, 1): 1.5, (1, 2): -0.25, (2, 2): 2.0})
-        doc = tensor_to_json_dict(t)
-        assert tensor_from_json_dict(doc) == t
-
-    def test_rejects_unsorted_index(self):
-        doc = {"order": 2, "p": 2, "entries": [{"idx": [2, 1], "value": 0.0}]}
-        with pytest.raises(SchemaError):
-            tensor_from_json_dict(doc)
+def test_tensor_json_document():
+    t = CumulantTensor(2, 2, {(2, 2): 2.0, (1, 1): 1.5, (1, 2): -0.25})
+    assert tensor_to_json_dict(t) == {
+        "order": 2,
+        "p": 2,
+        "entries": [
+            {"idx": [1, 1], "value": 1.5},
+            {"idx": [1, 2], "value": -0.25},
+            {"idx": [2, 2], "value": 2.0},
+        ],
+    }

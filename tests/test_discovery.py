@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +263,30 @@ class TestFindMultidirected:
         population = PopulationCumulants.from_spec(case2_spec())
         with pytest.raises(ValidationError, match="order"):
             population.entry((1,) * 9)
+
+    def test_refused_walk_frees_its_provider_without_the_collector(self):
+        # Nine rows sharing one skewed source pass every gate up to order 8, so
+        # the walk is refused at order 9.  The provider and its p x n rows must
+        # go when the exception is dropped, not at the next full collection.
+        rng = np.random.default_rng(3)
+        X = rng.exponential(size=2000) + 0.1 * rng.normal(size=(9, 2000))
+        X -= X.mean(axis=1, keepdims=True)
+        bg = BidirectedGraph(9, frozenset(map(frozenset, itertools.combinations(range(1, 10), 2))))
+        provider = SampleCumulants(X)
+        ref = weakref.ref(provider)
+        gc.disable()
+        try:
+            try:
+                find_multidirected(provider, bg)
+            except ValidationError as exc:
+                assert "order" in str(exc)
+            else:
+                pytest.fail("an order-9 clique was not refused")
+            del provider
+            freed = ref() is None
+        finally:
+            gc.enable()
+        assert freed
 
     def test_deterministic(self):
         spec = case2_spec()
