@@ -50,7 +50,11 @@ class TrialConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
                 raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 <= self.hide_prob <= 1.0:
+        for name in ("noise", "stage"):
+            if not isinstance(getattr(self, name), str):
+                raise ValidationError(f"{name} must be a string, got {getattr(self, name)!r}")
+        real = isinstance(self.hide_prob, numbers.Real) and not isinstance(self.hide_prob, bool)
+        if not (real and 0.0 <= self.hide_prob <= 1.0):
             raise ValidationError(f"hide_prob must be in [0, 1], got {self.hide_prob!r}")
         noise_from_tag(self.noise)
         self.discovery_config()
@@ -139,16 +143,6 @@ def _run_trial(cfg: TrialConfig, trial: int) -> TrialOutcome:
     )
 
 
-def _worker_cap() -> int | None:
-    raw = os.environ.get("MBANG_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
 def run_benchmark(cfg: TrialConfig):
     """Run every trial and aggregate; deterministic given cfg.seed.
 
@@ -156,11 +150,9 @@ def run_benchmark(cfg: TrialConfig):
     per-trial indicators; edge percentages average the per-trial ratios over
     trials that have at least one ground-truth edge.
     """
-    cap = _worker_cap()
-    workers = cfg.workers if cap is None else min(cfg.workers, cap)
     indices = list(range(cfg.trials))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_run_trial, [cfg] * len(indices), indices))
     else:
         outcomes = [_run_trial(cfg, t) for t in indices]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import bench, fileio
@@ -56,11 +55,9 @@ def _cmd_discover(args) -> int:
         stage = load_first_stage(args.stage, strict=not args.lenient)
     else:
         spec = fileio.load_spec(args.oracle_spec)
-        seed = args.seed
-        if args.stage_perturbation and seed is None:
-            seed = int.from_bytes(os.urandom(4), "little")
-            print(f"generated perturbation seed: {seed}", file=sys.stderr)
-        stage = oracle_first_stage(spec, perturbation=args.stage_perturbation, seed=seed)
+        if args.stage_perturbation and args.seed is None:
+            raise UsageError("--stage-perturbation needs --seed")
+        stage = oracle_first_stage(spec, perturbation=args.stage_perturbation, seed=args.seed)
     if args.tolerance == 0:
         print(
             "warning: tolerance 0 treats every sample cumulant as nonzero; "
@@ -211,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     stage.add_argument("--oracle-spec", dest="oracle_spec", help="ground-truth spec JSON for the oracle stage")
     disc.add_argument("--tolerance", type=float, default=0.05)
     disc.add_argument("--no-standardize", action="store_true")
-    relax = disc.add_mutually_exclusive_group()
-    relax.add_argument("--relaxed", action="store_true", help="enable the relaxed repeat-index test (default)")
-    relax.add_argument("--strict", action="store_true", help="disable the relaxed repeat-index test")
+    disc.add_argument("--strict", action="store_true", help="disable the relaxed repeat-index test")
     disc.add_argument("--lenient", action="store_true", help="warn instead of failing on bows in the stage file")
     disc.add_argument("--stage-perturbation", type=float, default=0.0)
     disc.add_argument("--seed", type=nonnegative_int, default=None)

@@ -9,6 +9,7 @@ higher-order cumulant of X.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, replace
 
@@ -18,11 +19,9 @@ from . import fileio
 from .cumulants import PopulationCumulants, cumulant_from_moments
 from .errors import SchemaError, ValidationError
 from .graphs import BidirectedGraph, MixedGraph, bidirected_subdivision, graph_to_json_dict, vertex_label
-from .sem import Dataset, LsemSpec, center_rows, dedirect, standardize_rows
+from .sem import Dataset, LsemSpec, center_rows, dedirect, effects_matrix, standardize_rows
 
 EXACT_EPS = 1e-9
-
-_ZERO_TEST_MODES = ("threshold", "exact")
 
 
 @dataclass(frozen=True)
@@ -30,25 +29,22 @@ class DiscoveryConfig:
     """Knobs for the merge stage.
 
     ``cumulant_tolerance`` is the nonzero-test threshold on (standardized)
-    sample cumulants.  ``zero_test_mode='exact'`` replaces it with 1e-9, the
-    right scale for population-oracle runs.  The relaxed test also accepts an
-    order-(k+2) entry that repeats one clique member.
+    sample cumulants; population-oracle runs use ``EXACT_EPS``.  The relaxed
+    test also accepts an order-(k+2) entry that repeats one clique member.
     """
 
     cumulant_tolerance: float = 0.05
     standardize: bool = True
     relaxed_test: bool = True
-    zero_test_mode: str = "threshold"
 
     def __post_init__(self):
-        if not np.isfinite(self.cumulant_tolerance) or self.cumulant_tolerance < 0:
-            raise ValidationError("cumulant tolerance must be finite and >= 0")
-        if self.zero_test_mode not in _ZERO_TEST_MODES:
-            raise ValidationError(f"zero_test_mode must be one of {_ZERO_TEST_MODES}")
-
-    @property
-    def threshold(self) -> float:
-        return EXACT_EPS if self.zero_test_mode == "exact" else self.cumulant_tolerance
+        for name in ("standardize", "relaxed_test"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValidationError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        tol = self.cumulant_tolerance
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and np.isfinite(tol) and tol >= 0):
+            raise ValidationError(f"cumulant tolerance must be a finite number >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -60,23 +56,14 @@ class FirstStageResult:
     bidirected: BidirectedGraph
 
     def __post_init__(self):
-        B = np.asarray(self.B_hat, dtype=float)
         p = self.bidirected.p
-        if B.shape != (p, p):
-            raise ValidationError(f"B_hat must be {p}x{p}, got {B.shape}")
-        object.__setattr__(self, "B_hat", B)
         object.__setattr__(
             self, "directed", frozenset((int(i), int(j)) for i, j in self.directed)
         )
         for i, j in self.directed:
             if not (1 <= i <= p and 1 <= j <= p) or i == j:
                 raise ValidationError(f"directed edge ({i}, {j}) invalid for p={p}")
-        support = self.directed
-        for i0, j0 in np.argwhere(B != 0.0):
-            if (int(i0) + 1, int(j0) + 1) not in support:
-                raise ValidationError(
-                    f"B_hat[{i0 + 1},{j0 + 1}] nonzero but edge {i0 + 1}->{j0 + 1} absent"
-                )
+        object.__setattr__(self, "B_hat", effects_matrix(self.B_hat, p, self.directed, "B_hat"))
 
     @property
     def p(self) -> int:
@@ -194,7 +181,7 @@ def cumulant_test(provider, R, v: int, cfg: DiscoveryConfig):
     R = tuple(R)
     if not R:
         return True, {"vertex": int(v), "kind": "root", "order": 0, "index": [], "value": None}
-    thr = cfg.threshold
+    thr = cfg.cumulant_tolerance
     idx = R + (int(v),)
     value = provider.entry(idx)
     if abs(value) > thr:
@@ -332,12 +319,10 @@ def run_mbang(Y: Dataset, stage, cfg: DiscoveryConfig | None = None) -> Discover
 def run_mbang_population(spec: LsemSpec, cfg: DiscoveryConfig | None = None) -> DiscoveryResult:
     """Pipeline driven by exact population cumulants and the oracle first stage.
 
-    The zero test is forced to exact mode; standardization does not apply
+    The tolerance is forced to ``EXACT_EPS``; standardization does not apply
     (scaling never moves a population entry onto or off zero).
     """
-    cfg = cfg or DiscoveryConfig(zero_test_mode="exact", standardize=False)
-    if cfg.zero_test_mode != "exact":
-        cfg = replace(cfg, zero_test_mode="exact")
+    cfg = replace(cfg or DiscoveryConfig(standardize=False), cumulant_tolerance=EXACT_EPS)
     stage = oracle_first_stage(spec)
     provider = PopulationCumulants.from_spec(spec, dedirected=True)
     edges, diagnostics = find_multidirected(provider, stage.bidirected, cfg)

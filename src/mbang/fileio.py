@@ -30,7 +30,7 @@ B_CONVENTION = "B[i][j] is the direct effect of vertex i on vertex j; X = (I - B
 
 def write_dataset_csv(data: Dataset, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for label, row in zip(data.labels, data.values):
+        for label, row in enumerate(data.values, start=1):
             fh.write(str(label))
             fh.write(",")
             fh.write(",".join(repr(float(x)) for x in row))
@@ -64,7 +64,7 @@ def read_dataset_csv(path) -> Dataset:
             f"{path}: row labels must be a permutation of 1..{len(rows)}, got {labels}"
         )
     order = np.argsort(labels)
-    return Dataset(np.array(rows, dtype=float)[order], tuple(sorted(labels)))
+    return Dataset(np.array(rows, dtype=float)[order])
 
 
 def write_dataset_bin(data: Dataset, path):

@@ -25,10 +25,9 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class Dataset:
-    """A p x n observation matrix; one row per variable, one column per sample."""
+    """A p x n observation matrix; row v-1 holds vertex v, one column per sample."""
 
     values: np.ndarray
-    labels: tuple[int, ...] = ()
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.values, dtype=float))
@@ -39,10 +38,6 @@ class Dataset:
         if not np.all(np.isfinite(arr)):
             raise ValidationError("dataset entries must be finite")
         object.__setattr__(self, "values", arr)
-        labels = tuple(int(v) for v in self.labels) or tuple(range(1, arr.shape[0] + 1))
-        if len(labels) != arr.shape[0]:
-            raise ValidationError("row labels must match the number of rows")
-        object.__setattr__(self, "labels", labels)
 
     @property
     def p(self) -> int:
@@ -72,6 +67,21 @@ class HiddenSource:
             raise ValidationError("loadings must be finite")
 
 
+def effects_matrix(B, p: int, directed, name: str) -> np.ndarray:
+    """``B`` as a finite p x p float matrix whose nonzeros lie on ``directed`` edges."""
+    B = np.asarray(B, dtype=float)
+    if B.shape != (p, p):
+        raise ValidationError(f"{name} must be {p}x{p}, got {B.shape}")
+    if not np.all(np.isfinite(B)):
+        raise ValidationError(f"{name} entries must be finite")
+    for i0, j0 in np.argwhere(B != 0.0):
+        if (int(i0) + 1, int(j0) + 1) not in directed:
+            raise ValidationError(
+                f"{name}[{i0 + 1},{j0 + 1}] nonzero but edge {i0 + 1}->{j0 + 1} absent"
+            )
+    return B
+
+
 @dataclass(frozen=True)
 class LsemSpec:
     """A simulable model: graph, direct effects, and noise for every source.
@@ -87,24 +97,12 @@ class LsemSpec:
     hidden: tuple[HiddenSource, ...] = ()
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=float)
         p = self.graph.p
-        if B.shape != (p, p):
-            raise ValidationError(f"B must be {p}x{p}, got {B.shape}")
-        if not np.all(np.isfinite(B)):
-            raise ValidationError("B entries must be finite")
-        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "B", effects_matrix(self.B, p, self.graph.directed, "B"))
         object.__setattr__(self, "noise", tuple(self.noise))
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if len(self.noise) != p:
             raise ValidationError("need one noise spec per observed vertex")
-        support = set(self.graph.directed)
-        nz = np.argwhere(B != 0.0)
-        for i0, j0 in nz:
-            if (int(i0) + 1, int(j0) + 1) not in support:
-                raise ValidationError(
-                    f"B[{i0 + 1},{j0 + 1}] nonzero but edge {i0 + 1}->{j0 + 1} absent"
-                )
         if not is_acyclic(self.graph):
             raise ValidationError("spec graph must be acyclic")
         if not is_bow_free(self.graph):
@@ -160,7 +158,7 @@ def dedirect(data: Dataset, B: np.ndarray) -> Dataset:
     B = np.asarray(B, dtype=float)
     if B.shape != (data.p, data.p):
         raise ValidationError(f"effects matrix must be {data.p}x{data.p}, got {B.shape}")
-    return Dataset(data.values - B.T @ data.values, data.labels)
+    return Dataset(data.values - B.T @ data.values)
 
 
 def standardize_rows(data: Dataset) -> Dataset:
@@ -168,13 +166,13 @@ def standardize_rows(data: Dataset) -> Dataset:
     sd = data.values.std(axis=1)
     zero = np.flatnonzero(sd == 0.0)
     if zero.size:
-        raise NumericalError(f"zero-variance row for vertex {data.labels[zero[0]]}")
-    return Dataset(data.values / sd[:, None], data.labels)
+        raise NumericalError(f"zero-variance row for vertex {zero[0] + 1}")
+    return Dataset(data.values / sd[:, None])
 
 
 def center_rows(data: Dataset) -> Dataset:
     """Subtract each row's empirical mean."""
-    return Dataset(data.values - data.values.mean(axis=1, keepdims=True), data.labels)
+    return Dataset(data.values - data.values.mean(axis=1, keepdims=True))
 
 
 def marginalize(dag: MixedGraph, hidden) -> tuple[MixedGraph, dict[int, int]]:

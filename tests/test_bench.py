@@ -64,11 +64,6 @@ class TestRunBenchmark:
         par, _ = run_benchmark(small_cfg(workers=2))
         assert [o.recovered for o in seq] == [o.recovered for o in par]
 
-    def test_worker_env_cap(self, monkeypatch):
-        monkeypatch.setenv("MBANG_THREADS", "1")
-        out, _ = run_benchmark(small_cfg(workers=4))  # capped to sequential
-        assert len(out) == 6
-
     def test_no_edges_means_perfect_recovery(self):
         _, agg = run_benchmark(small_cfg(edges=0, trials=5))
         assert agg["graph_exact_rate"] == 1.0

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from mbang import simulate
@@ -392,6 +394,8 @@ BAD_INPUTS = [
     ("spec-with-fractional-member", ["simulate", "--spec", "{fractional_member_spec}", "--n", "5",
                                      "--seed", "1", "--out", "{tmp}/x.csv"], 3),
     ("config-file-fractional-n", ["benchmark", "--config", "{fractional_n_config}"], 3),
+    ("discover-perturbation-without-seed", ["discover", "--data", "{data}", "--oracle-spec", "{spec}",
+                                            "--stage-perturbation", "0.01", "--out", "{tmp}/g.json"], 2),
     ("benchmark-nan-tolerance", ["benchmark", "--trials", "1", "--tolerance", "nan"], 3),
     ("benchmark-hide-prob-above-one", ["benchmark", "--trials", "1", "--hide-prob", "2"], 3),
     ("cumulants-indices-fractional-label", ["cumulants", "--data", "{data}", "--order", "3",
@@ -408,6 +412,24 @@ BAD_INPUTS = [
                                         "--indices", "{indices_above_p}", "--out", "{tmp}/t.json"], 3),
     ("cumulants-indices-short-list", ["cumulants", "--data", "{data}", "--order", "3",
                                      "--indices", "{indices_short}", "--out", "{tmp}/t.json"], 3),
+]
+
+# Benchmark config files whose fields have the wrong type; each must exit 3.
+BAD_CONFIGS = {
+    "stage_zero": {"stage": 0},
+    "stage_fraction": {"stage": 1.5},
+    "stage_bool": {"stage": True},
+    "stage_null": {"stage": None},
+    "stage_list": {"stage": [1]},
+    "noise_number": {"noise": 5},
+    "hide_prob_bool": {"hide_prob": True},
+    "relaxed_test_string": {"relaxed_test": "false"},
+    "standardize_string": {"standardize": "no"},
+    "tolerance_bool": {"cumulant_tolerance": True},
+}
+BAD_INPUTS += [
+    (f"config-file-{name.replace('_', '-')}", ["benchmark", "--config", f"{{{name}}}"], 3)
+    for name in BAD_CONFIGS
 ]
 
 
@@ -433,6 +455,7 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
         ("indices_bare", [5]),
         ("indices_above_p", [[99, 1, 2]]),
         ("indices_short", [[1, 2]]),
+        *BAD_CONFIGS.items(),
     ):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -445,3 +468,82 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
     except SystemExit as exc:
         rc = exc.code
     assert rc == code
+
+
+# Seeded mutations of the shipped sample files: one value becomes one of
+# MUTANTS, or one key or list item is dropped.  The subcommand that reads the
+# file must end in a documented exit code, never in an escaping exception.
+MUTANTS = [1.5, -1, 0, 1e400, True, None, "x", [1]]
+MUTATIONS_PER_FILE = 100
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        items = sorted(node.items())
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, rng):
+    paths = list(_paths(doc))
+    path = paths[int(rng.integers(len(paths)))]
+    pick = int(rng.integers(len(MUTANTS) + 1))
+    if not path:
+        return MUTANTS[pick % len(MUTANTS)]
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if pick == len(MUTANTS):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = MUTANTS[pick]
+    return doc
+
+
+def _is_declared_type(value, declared: str) -> bool:
+    if declared in ("bool", "str"):
+        return type(value).__name__ == declared
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SAMPLES.glob("*.json")))
+def test_mutated_sample_files_exit_cleanly(name, tmp_path):
+    from mbang import Dataset
+    from mbang.bench import TrialConfig
+
+    original = json.loads((SAMPLES / name).read_text())
+    target = tmp_path / name
+    out = tmp_path / "out.json"
+    if name == "bench_config.json":
+        argv = ["benchmark", "--config", str(target), "--trials", "1", "--n", "200",
+                "--out-json", str(out)]
+    elif name == "external_stage_example.json":
+        data = tmp_path / "d.csv"
+        rng = np.random.default_rng(0)
+        write_dataset_csv(Dataset(rng.exponential(size=(original["p"], 300))), data)
+        argv = ["discover", "--data", str(data), "--stage", str(target), "--out", str(out)]
+    else:
+        argv = ["simulate", "--spec", str(target), "--n", "50", "--seed", "1", "--out", str(out)]
+    rng = np.random.default_rng(list(name.encode()))
+    codes = set()
+    for _ in range(MUTATIONS_PER_FILE):
+        doc = _mutate(original, rng)
+        target.write_text(json.dumps(doc))
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc in (0, 2, 3, 4), (doc, rc)
+        codes.add(rc)
+        if rc == 0 and name == "bench_config.json":
+            config = json.loads(out.read_text())["config"]
+            for field in dataclasses.fields(TrialConfig):
+                assert _is_declared_type(config[field.name], field.type), (doc, field.name)
+    assert codes - {0}, "no mutation was refused"

@@ -24,7 +24,7 @@ from mbang import (
     run_mbang_population,
     simulate,
 )
-from mbang.discovery import first_stage_from_json_dict
+from mbang.discovery import EXACT_EPS, first_stage_from_json_dict
 
 from helpers import (
     ECO_EDGES,
@@ -97,6 +97,12 @@ class TestExternalFirstStage:
         with pytest.raises(SchemaError):
             first_stage_from_json_dict({"p": 2, "directed": "nope", "B": []})
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_non_finite_effect_names_b_hat(self, entry):
+        doc = json.loads(f'{{"p": 2, "directed": [[1, 2]], "B": [[0.0, {entry}], [0.0, 0.0]]}}')
+        with pytest.raises(SchemaError, match="B_hat entries must be finite"):
+            first_stage_from_json_dict(doc)
+
     def test_empty_bidirected_set_yields_no_edges(self):
         spec = case2_spec()
         stage = FirstStageResult(
@@ -109,20 +115,20 @@ class TestExternalFirstStage:
 class TestCumulantTest:
     def test_case2_population_triple_passes(self):
         provider = PopulationCumulants.from_spec(case2_spec())
-        cfg = DiscoveryConfig(zero_test_mode="exact")
+        cfg = DiscoveryConfig(cumulant_tolerance=EXACT_EPS)
         ok, evidence = cumulant_test(provider, (2, 3), 4, cfg)
         assert ok and evidence["kind"] == "primary" and evidence["order"] == 3
 
     def test_case1_population_triple_fails(self):
         provider = PopulationCumulants.from_spec(case1_spec())
-        cfg = DiscoveryConfig(zero_test_mode="exact")
+        cfg = DiscoveryConfig(cumulant_tolerance=EXACT_EPS)
         ok, evidence = cumulant_test(provider, (2, 3), 4, cfg)
         assert not ok and evidence is None
 
     def test_symmetric_source_needs_relaxed_test(self):
         provider = PopulationCumulants.from_spec(symmetric_triangle_spec())
-        exact_relaxed = DiscoveryConfig(zero_test_mode="exact", relaxed_test=True)
-        exact_strict = DiscoveryConfig(zero_test_mode="exact", relaxed_test=False)
+        exact_relaxed = DiscoveryConfig(cumulant_tolerance=EXACT_EPS, relaxed_test=True)
+        exact_strict = DiscoveryConfig(cumulant_tolerance=EXACT_EPS, relaxed_test=False)
         ok, evidence = cumulant_test(provider, (1, 2), 3, exact_relaxed)
         assert ok and evidence["kind"] == "relaxed" and evidence["order"] == 4
         ok, _ = cumulant_test(provider, (1, 2), 3, exact_strict)
@@ -136,8 +142,6 @@ class TestCumulantTest:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             DiscoveryConfig(cumulant_tolerance=-0.1)
-        with pytest.raises(ValidationError):
-            DiscoveryConfig(zero_test_mode="sometimes")
 
 
 class TestFindMultidirected:
@@ -147,7 +151,7 @@ class TestFindMultidirected:
         got, _ = find_multidirected(
             provider,
             bidirected_subdivision(spec.graph),
-            DiscoveryConfig(zero_test_mode="exact"),
+            DiscoveryConfig(cumulant_tolerance=EXACT_EPS),
         )
         assert got == {frozenset({2, 3, 4})}
 
@@ -157,7 +161,7 @@ class TestFindMultidirected:
         got, _ = find_multidirected(
             provider,
             bidirected_subdivision(spec.graph),
-            DiscoveryConfig(zero_test_mode="exact"),
+            DiscoveryConfig(cumulant_tolerance=EXACT_EPS),
         )
         assert got == {frozenset({2, 3}), frozenset({3, 4})}
 
@@ -223,10 +227,10 @@ class TestFindMultidirected:
                         if not R:
                             ok = True
                         else:
-                            ok = abs(provider.entry(R + (v,))) > cfg.threshold
+                            ok = abs(provider.entry(R + (v,))) > cfg.cumulant_tolerance
                             if not ok and cfg.relaxed_test:
                                 ok = any(
-                                    abs(provider.entry(R + (v, j))) > cfg.threshold
+                                    abs(provider.entry(R + (v, j))) > cfg.cumulant_tolerance
                                     for j in R
                                 )
                         if ok:
@@ -419,5 +423,5 @@ class TestRunMbang:
         result = run_mbang_population(case2_spec())
         doc = result.to_json_dict()
         assert doc["multi"] == [[2, 3, 4]]
-        assert doc["config"]["zero_test_mode"] == "exact"
+        assert doc["config"]["cumulant_tolerance"] == EXACT_EPS
         assert "B_hat" in doc and "diagnostics" in doc

