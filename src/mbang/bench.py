@@ -23,7 +23,7 @@ from .discovery import (
 )
 from .distributions import noise_from_tag
 from .errors import MbangError, ValidationError
-from .graphs import MixedGraph, bidirected_subdivision
+from .graphs import MixedGraph, bidirected_subdivision, is_finite_real
 from .sem import random_bowfree, simulate
 
 
@@ -39,7 +39,6 @@ class TrialConfig:
     stage: str = "oracle"
     seed: int = 0
     cumulant_tolerance: float = 0.05
-    standardize: bool = True
     relaxed_test: bool = True
     hide_prob: float = 0.5
     workers: int = 1
@@ -53,8 +52,7 @@ class TrialConfig:
         for name in ("noise", "stage"):
             if not isinstance(getattr(self, name), str):
                 raise ValidationError(f"{name} must be a string, got {getattr(self, name)!r}")
-        real = isinstance(self.hide_prob, numbers.Real) and not isinstance(self.hide_prob, bool)
-        if not (real and 0.0 <= self.hide_prob <= 1.0):
+        if not (is_finite_real(self.hide_prob) and 0.0 <= self.hide_prob <= 1.0):
             raise ValidationError(f"hide_prob must be in [0, 1], got {self.hide_prob!r}")
         noise_from_tag(self.noise)
         self.discovery_config()
@@ -62,7 +60,6 @@ class TrialConfig:
     def discovery_config(self) -> DiscoveryConfig:
         return DiscoveryConfig(
             cumulant_tolerance=self.cumulant_tolerance,
-            standardize=self.standardize,
             relaxed_test=self.relaxed_test,
         )
 

@@ -64,11 +64,7 @@ def _cmd_discover(args) -> int:
             "all cliques will merge",
             file=sys.stderr,
         )
-    cfg = DiscoveryConfig(
-        cumulant_tolerance=args.tolerance,
-        standardize=not args.no_standardize,
-        relaxed_test=not args.strict,
-    )
+    cfg = DiscoveryConfig(cumulant_tolerance=args.tolerance, relaxed_test=not args.strict)
     result = run_mbang(data, stage, cfg)
     fileio.save_json(result.to_json_dict(), args.out)
     print(format_graph(result.graph))
@@ -165,11 +161,10 @@ def _cmd_graph_tools(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(graph_to_dot(g))
         return 0
-    if args.tool == "subdivide":
-        pairs = sorted(tuple(sorted(pr)) for pr in bidirected_subdivision(g).pairs)
-        fileio.save_json({"p": g.p, "bidirected": [list(pr) for pr in pairs]}, args.out)
-        return 0
-    raise UsageError(f"unknown graph tool {args.tool}")
+    # "subdivide": the parser's choices admit no other tool.
+    pairs = sorted(tuple(sorted(pr)) for pr in bidirected_subdivision(g).pairs)
+    fileio.save_json({"p": g.p, "bidirected": [list(pr) for pr in pairs]}, args.out)
+    return 0
 
 
 class UsageError(Exception):
@@ -207,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     stage.add_argument("--stage", help="first-stage JSON produced externally")
     stage.add_argument("--oracle-spec", dest="oracle_spec", help="ground-truth spec JSON for the oracle stage")
     disc.add_argument("--tolerance", type=float, default=0.05)
-    disc.add_argument("--no-standardize", action="store_true")
     disc.add_argument("--strict", action="store_true", help="disable the relaxed repeat-index test")
     disc.add_argument("--lenient", action="store_true", help="warn instead of failing on bows in the stage file")
     disc.add_argument("--stage-perturbation", type=float, default=0.0)

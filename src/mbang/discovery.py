@@ -9,7 +9,6 @@ higher-order cumulant of X.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, replace
 
@@ -18,7 +17,8 @@ import numpy as np
 from . import fileio
 from .cumulants import PopulationCumulants, cumulant_from_moments
 from .errors import SchemaError, ValidationError
-from .graphs import BidirectedGraph, MixedGraph, bidirected_subdivision, graph_to_json_dict, vertex_label
+from .graphs import BidirectedGraph, MixedGraph, bidirected_subdivision, graph_to_json_dict
+from .graphs import is_finite_real, vertex_label
 from .sem import Dataset, LsemSpec, center_rows, dedirect, effects_matrix, standardize_rows
 
 EXACT_EPS = 1e-9
@@ -28,22 +28,19 @@ EXACT_EPS = 1e-9
 class DiscoveryConfig:
     """Knobs for the merge stage.
 
-    ``cumulant_tolerance`` is the nonzero-test threshold on (standardized)
-    sample cumulants; population-oracle runs use ``EXACT_EPS``.  The relaxed
+    ``cumulant_tolerance`` is the nonzero-test threshold on the cumulants of
+    standardized rows; population-oracle runs use ``EXACT_EPS``.  The relaxed
     test also accepts an order-(k+2) entry that repeats one clique member.
     """
 
     cumulant_tolerance: float = 0.05
-    standardize: bool = True
     relaxed_test: bool = True
 
     def __post_init__(self):
-        for name in ("standardize", "relaxed_test"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValidationError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.relaxed_test, bool):
+            raise ValidationError(f"relaxed_test must be true or false, got {self.relaxed_test!r}")
         tol = self.cumulant_tolerance
-        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-        if not (real and np.isfinite(tol) and tol >= 0):
+        if not (is_finite_real(tol) and tol >= 0):
             raise ValidationError(f"cumulant tolerance must be a finite number >= 0, got {tol!r}")
 
 
@@ -109,6 +106,8 @@ def first_stage_from_json_dict(obj, strict: bool = True) -> FirstStageResult:
         pairs = frozenset(
             frozenset((vertex_label(i), vertex_label(j))) for i, j in obj.get("bidirected", [])
         )
+        if not all(is_finite_real(x) for row in obj["B"] for x in row):
+            raise SchemaError("B_hat entries must be finite real numbers")
         B = np.asarray(obj["B"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed first-stage document: {exc}") from exc
@@ -282,7 +281,7 @@ class DiscoveryResult:
         return out
 
 
-def _assemble(stage: FirstStageResult, edges, diagnostics, cfg, B_hat) -> DiscoveryResult:
+def _assemble(stage: FirstStageResult, edges, diagnostics, cfg) -> DiscoveryResult:
     # Bidirected pairs the recursion left uncovered stay in the output as
     # 2-directed edges; dropping them would lose structure the first stage
     # already established.
@@ -293,37 +292,36 @@ def _assemble(stage: FirstStageResult, edges, diagnostics, cfg, B_hat) -> Discov
             multi.add(pair)
             diags.append({"edge": sorted(pair), "source": "retained", "tests": []})
     graph = MixedGraph(stage.p, stage.directed, frozenset(multi))
-    return DiscoveryResult(graph=graph, B_hat=B_hat, config=cfg, diagnostics=tuple(diags))
+    return DiscoveryResult(graph=graph, B_hat=stage.B_hat, config=cfg, diagnostics=tuple(diags))
 
 
-def run_mbang(Y: Dataset, stage, cfg: DiscoveryConfig | None = None) -> DiscoveryResult:
-    """Full pipeline on observations: first stage, dedirection, merge.
+def run_mbang(Y: Dataset, stage: FirstStageResult, cfg: DiscoveryConfig | None = None) -> DiscoveryResult:
+    """Full pipeline on observations: dedirection by the first stage, then merge.
 
-    ``stage`` is a FirstStageResult or a callable producing one from Y.
+    The rows of X = Y - B_hat^T Y are centered and standardized before the
+    gated search, so the tolerance always applies to standardized cumulants.
     """
     cfg = cfg or DiscoveryConfig()
-    result = stage(Y) if callable(stage) else stage
-    if result.p != Y.p:
+    if stage.p != Y.p:
         raise ValidationError(
-            f"first stage is for p={result.p} but data has {Y.p} rows"
+            f"first stage is for p={stage.p} but data has {Y.p} rows"
         )
-    X = dedirect(Y, result.B_hat)
+    X = dedirect(Y, stage.B_hat)
     X = center_rows(X)
-    if cfg.standardize:
-        X = standardize_rows(X)
+    X = standardize_rows(X)
     provider = SampleCumulants(X)
-    edges, diagnostics = find_multidirected(provider, result.bidirected, cfg)
-    return _assemble(result, edges, diagnostics, cfg, result.B_hat)
+    edges, diagnostics = find_multidirected(provider, stage.bidirected, cfg)
+    return _assemble(stage, edges, diagnostics, cfg)
 
 
 def run_mbang_population(spec: LsemSpec, cfg: DiscoveryConfig | None = None) -> DiscoveryResult:
     """Pipeline driven by exact population cumulants and the oracle first stage.
 
-    The tolerance is forced to ``EXACT_EPS``; standardization does not apply
-    (scaling never moves a population entry onto or off zero).
+    The tolerance is forced to ``EXACT_EPS``.  Nothing is standardized:
+    scaling never moves a population entry onto or off zero.
     """
-    cfg = replace(cfg or DiscoveryConfig(standardize=False), cumulant_tolerance=EXACT_EPS)
+    cfg = replace(cfg or DiscoveryConfig(), cumulant_tolerance=EXACT_EPS)
     stage = oracle_first_stage(spec)
     provider = PopulationCumulants.from_spec(spec, dedirected=True)
     edges, diagnostics = find_multidirected(provider, stage.bidirected, cfg)
-    return _assemble(stage, edges, diagnostics, cfg, stage.B_hat)
+    return _assemble(stage, edges, diagnostics, cfg)

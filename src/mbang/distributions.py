@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SchemaError, ValidationError
+from .graphs import is_finite_real
 
 _FAMILIES = ("uniform", "gamma", "chi2", "exponential", "t")
 
@@ -68,6 +69,8 @@ class Noise:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not all(is_finite_real(x) for x in self.params):
+            raise ValidationError(f"{self.dist} parameters must be finite real numbers, got {self.params!r}")
         object.__setattr__(self, "params", tuple(float(x) for x in self.params))
         d, p = self.dist, self.params
         if d == "uniform":

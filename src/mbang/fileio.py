@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import noise_from_json_dict, noise_to_json_dict
 from .errors import SchemaError
-from .graphs import MixedGraph, graph_from_json_dict, graph_to_json_dict, vertex_label
+from .graphs import MixedGraph, graph_from_json_dict, graph_to_json_dict, is_finite_real, vertex_label
 from .sem import Dataset, HiddenSource, LsemSpec
 
 MAGIC = b"MBD1"
@@ -122,12 +122,14 @@ def spec_from_json_dict(obj) -> LsemSpec:
         raise SchemaError("spec document must be a JSON object")
     graph = graph_from_json_dict(obj)
     try:
+        if not all(is_finite_real(x) for row in obj["B"] for x in row):
+            raise SchemaError("B entries must be finite real numbers")
         B = np.asarray(obj["B"], dtype=float)
         noise = tuple(noise_from_json_dict(nz) for nz in obj["noise"])
         hidden = tuple(
             HiddenSource(
                 frozenset(vertex_label(v) for v in item["members"]),
-                tuple(float(x) for x in item["loadings"]),
+                item["loadings"],
                 noise_from_json_dict(item["noise"]),
             )
             for item in obj.get("hidden_sources", [])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -272,6 +273,12 @@ def vertex_label(value) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{value!r} is not an integer")
+
+
+def is_finite_real(value) -> bool:
+    """Whether a JSON or config value is a finite real number; a bool or a string is not one."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
 
 
 def graph_to_json_dict(g: MixedGraph) -> dict:

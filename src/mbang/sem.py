@@ -18,6 +18,7 @@ from .graphs import (
     MixedGraph,
     is_acyclic,
     is_bow_free,
+    is_finite_real,
     sorted_multi,
     topological_order,
 )
@@ -58,13 +59,13 @@ class HiddenSource:
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(int(v) for v in self.members))
+        if not all(is_finite_real(x) for x in self.loadings):
+            raise ValidationError(f"loadings must be finite real numbers, got {self.loadings!r}")
         object.__setattr__(self, "loadings", tuple(float(x) for x in self.loadings))
         if len(self.members) < 2:
             raise ValidationError("a hidden source needs at least 2 member vertices")
         if len(self.loadings) != len(self.members):
             raise ValidationError("loadings must align with sorted member vertices")
-        if not all(np.isfinite(self.loadings)):
-            raise ValidationError("loadings must be finite")
 
 
 def effects_matrix(B, p: int, directed, name: str) -> np.ndarray:
@@ -114,40 +115,31 @@ class LsemSpec:
             )
 
 
-def simulate(
-    spec: LsemSpec,
-    n: int,
-    seed=None,
-    return_noise: bool = False,
-):
+def simulate(spec: LsemSpec, n: int, seed=None) -> Dataset:
     """Draw n i.i.d. samples from the model.
 
     Noise draws happen in a fixed order (observed vertices by label, then
     hidden sources by sorted edge), so output is reproducible given the seed.
-    With ``return_noise`` the correlated noise matrix eps is returned alongside
-    the data.
+    The draws do not depend on ``B``: the same seed with ``B = 0`` returns the
+    correlated noise matrix eps itself.
     """
     if n < 1:
         raise ValidationError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
     p = spec.graph.p
-    eps = np.empty((p, n), dtype=float)
+    values = np.empty((p, n), dtype=float)
     for v in range(1, p + 1):
-        eps[v - 1] = spec.noise[v - 1].sample(rng, n)
+        values[v - 1] = spec.noise[v - 1].sample(rng, n)
     for src in spec.hidden:
         draw = src.noise.sample(rng, n)
         for v, lam in zip(sorted(src.members), src.loadings):
-            eps[v - 1] += lam * draw
-    values = eps.copy()
+            values[v - 1] += lam * draw
     for j in topological_order(spec.graph):
         for i in sorted(spec.graph.parents(j)):
             b = spec.B[i - 1, j - 1]
             if b != 0.0:
                 values[j - 1] += b * values[i - 1]
-    data = Dataset(values)
-    if return_noise:
-        return data, eps
-    return data
+    return Dataset(values)
 
 
 def dedirect(data: Dataset, B: np.ndarray) -> Dataset:

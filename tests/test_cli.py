@@ -394,6 +394,28 @@ BAD_INPUTS = [
     ("spec-with-fractional-member", ["simulate", "--spec", "{fractional_member_spec}", "--n", "5",
                                      "--seed", "1", "--out", "{tmp}/x.csv"], 3),
     ("config-file-fractional-n", ["benchmark", "--config", "{fractional_n_config}"], 3),
+    ("discover-no-standardize", ["discover", "--data", "{data}", "--oracle-spec", "{spec}",
+                                 "--no-standardize", "--out", "{tmp}/g.json"], 2),
+    ("spec-with-bool-noise-param", ["simulate", "--spec", "{bool_param_spec}", "--n", "5",
+                                    "--seed", "1", "--out", "{tmp}/x.csv"], 3),
+    ("spec-with-string-noise-param", ["simulate", "--spec", "{string_param_spec}", "--n", "5",
+                                      "--seed", "1", "--out", "{tmp}/x.csv"], 3),
+    ("spec-with-infinite-noise-param", ["simulate", "--spec", "{infinite_param_spec}", "--n", "5",
+                                        "--seed", "1", "--out", "{tmp}/x.csv"], 3),
+    ("spec-with-nan-noise-param", ["simulate", "--spec", "{nan_param_spec}", "--n", "5",
+                                   "--seed", "1", "--out", "{tmp}/x.csv"], 3),
+    ("spec-with-bool-loading", ["simulate", "--spec", "{bool_loading_spec}", "--n", "5",
+                                "--seed", "1", "--out", "{tmp}/x.csv"], 3),
+    ("spec-with-string-loading", ["simulate", "--spec", "{string_loading_spec}", "--n", "5",
+                                  "--seed", "1", "--out", "{tmp}/x.csv"], 3),
+    ("spec-with-bool-effect", ["simulate", "--spec", "{bool_effect_spec}", "--n", "5",
+                               "--seed", "1", "--out", "{tmp}/x.csv"], 3),
+    ("spec-with-string-effect", ["simulate", "--spec", "{string_effect_spec}", "--n", "5",
+                                 "--seed", "1", "--out", "{tmp}/x.csv"], 3),
+    ("stage-with-bool-effect", ["discover", "--data", "{data}", "--stage", "{bool_effect_stage}",
+                                "--out", "{tmp}/g.json"], 3),
+    ("stage-with-string-effect", ["discover", "--data", "{data}", "--stage", "{string_effect_stage}",
+                                  "--out", "{tmp}/g.json"], 3),
     ("discover-perturbation-without-seed", ["discover", "--data", "{data}", "--oracle-spec", "{spec}",
                                             "--stage-perturbation", "0.01", "--out", "{tmp}/g.json"], 2),
     ("benchmark-nan-tolerance", ["benchmark", "--trials", "1", "--tolerance", "nan"], 3),
@@ -425,6 +447,7 @@ BAD_CONFIGS = {
     "hide_prob_bool": {"hide_prob": True},
     "relaxed_test_string": {"relaxed_test": "false"},
     "standardize_string": {"standardize": "no"},
+    "standardize_retired": {"standardize": True},
     "tolerance_bool": {"cumulant_tolerance": True},
 }
 BAD_INPUTS += [
@@ -433,13 +456,35 @@ BAD_INPUTS += [
 ]
 
 
+def _edited(doc, path, value):
+    """A deep copy of ``doc`` with the item at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
 @pytest.mark.parametrize("argv, code", [case[1:] for case in BAD_INPUTS],
                          ids=[case[0] for case in BAD_INPUTS])
 def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
     files = {"spec": spec_file, "tmp": str(tmp_path)}
     spec_doc = json.loads(pathlib.Path(spec_file).read_text())
-    spec_doc["hidden_sources"][0]["members"][0] = 2.5
+    fractional_member_spec = _edited(spec_doc, ("hidden_sources", 0, "members", 0), 2.5)
+    stage_doc = {"p": 5, "directed": [[1, 2]], "bidirected": [],
+                 "B": [[0.0, 0.5, 0.0, 0.0, 0.0]] + [[0.0] * 5] * 4}
     for name, doc in (
+        ("bool_param_spec", _edited(spec_doc, ("noise", 0, "params", 0), True)),
+        ("string_param_spec", _edited(spec_doc, ("noise", 0, "params", 0), "2")),
+        ("infinite_param_spec", _edited(spec_doc, ("noise", 0, "params", 0), float("inf"))),
+        ("nan_param_spec", _edited(spec_doc, ("noise", 0, "params", 0), float("nan"))),
+        ("bool_loading_spec", _edited(spec_doc, ("hidden_sources", 0, "loadings", 0), True)),
+        ("string_loading_spec", _edited(spec_doc, ("hidden_sources", 0, "loadings", 0), "0.8")),
+        ("bool_effect_spec", _edited(spec_doc, ("B", 0, 0), False)),
+        ("string_effect_spec", _edited(spec_doc, ("B", 0, 0), "0")),
+        ("bool_effect_stage", _edited(stage_doc, ("B", 0, 1), True)),
+        ("string_effect_stage", _edited(stage_doc, ("B", 0, 1), "0.5")),
         ("neg_seed_config", {"trials": 1, "seed": -1}),
         ("fractional_n_config", {"n": 2.5}),
         ("fractional_graph", {"p": 2.5, "directed": [], "multi": []}),
@@ -447,7 +492,7 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
         ("infinite_vertex_graph", {"p": 3, "directed": [[float("inf"), 2]], "multi": []}),
         ("fractional_stage", {"p": 5.5, "directed": [], "bidirected": [], "B": [[0.0] * 5] * 5}),
         ("bool_vertex_stage", {"p": 5, "directed": [], "bidirected": [[True, 2]], "B": [[0.0] * 5] * 5}),
-        ("fractional_member_spec", spec_doc),
+        ("fractional_member_spec", fractional_member_spec),
         ("indices_fractional", [[1.5, 2, 3]]),
         ("indices_bool", [[True, 2, 3]]),
         ("indices_infinite", [[float("inf"), 2, 3]]),
