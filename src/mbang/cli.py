@@ -52,7 +52,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_discover(args) -> int:
     data = fileio.read_dataset(args.data)
     if args.stage:
-        stage = load_first_stage(args.stage, strict=not args.lenient)
+        stage = load_first_stage(args.stage)
     else:
         spec = fileio.load_spec(args.oracle_spec)
         if args.stage_perturbation and args.seed is None:
@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     stage.add_argument("--oracle-spec", dest="oracle_spec", help="ground-truth spec JSON for the oracle stage")
     disc.add_argument("--tolerance", type=float, default=0.05)
     disc.add_argument("--strict", action="store_true", help="disable the relaxed repeat-index test")
-    disc.add_argument("--lenient", action="store_true", help="warn instead of failing on bows in the stage file")
     disc.add_argument("--stage-perturbation", type=float, default=0.0)
     disc.add_argument("--seed", type=nonnegative_int, default=None)
     disc.add_argument("--out", required=True)

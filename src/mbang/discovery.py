@@ -9,7 +9,6 @@ higher-order cumulant of X.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import fileio
 from .cumulants import PopulationCumulants, cumulant_from_moments
 from .errors import SchemaError, ValidationError
 from .graphs import BidirectedGraph, MixedGraph, bidirected_subdivision, graph_to_json_dict
-from .graphs import is_finite_real, vertex_label
+from .graphs import bows, is_finite_real, vertex_label
 from .sem import Dataset, LsemSpec, center_rows, dedirect, effects_matrix, standardize_rows
 
 EXACT_EPS = 1e-9
@@ -46,7 +45,11 @@ class DiscoveryConfig:
 
 @dataclass(frozen=True)
 class FirstStageResult:
-    """Output of the first stage: effects estimate plus pair-level structure."""
+    """Output of the first stage: effects estimate plus pair-level structure.
+
+    ``directed`` obeys the rules of ``MixedGraph``, and a bow (a directed edge
+    whose endpoints are also a bidirected pair) raises ValidationError.
+    """
 
     B_hat: np.ndarray
     directed: frozenset[tuple[int, int]]
@@ -54,22 +57,15 @@ class FirstStageResult:
 
     def __post_init__(self):
         p = self.bidirected.p
-        object.__setattr__(
-            self, "directed", frozenset((int(i), int(j)) for i, j in self.directed)
-        )
-        for i, j in self.directed:
-            if not (1 <= i <= p and 1 <= j <= p) or i == j:
-                raise ValidationError(f"directed edge ({i}, {j}) invalid for p={p}")
+        object.__setattr__(self, "directed", MixedGraph(p, self.directed).directed)
+        found = bows(self.directed, self.bidirected.pairs)
+        if found:
+            raise ValidationError(f"first stage contains bows {found}")
         object.__setattr__(self, "B_hat", effects_matrix(self.B_hat, p, self.directed, "B_hat"))
 
     @property
     def p(self) -> int:
         return self.bidirected.p
-
-    def bows(self) -> list[tuple[int, int]]:
-        return sorted(
-            (i, j) for i, j in self.directed if frozenset((i, j)) in self.bidirected.pairs
-        )
 
 
 def oracle_first_stage(spec: LsemSpec, perturbation: float = 0.0, seed=None) -> FirstStageResult:
@@ -77,8 +73,10 @@ def oracle_first_stage(spec: LsemSpec, perturbation: float = 0.0, seed=None) -> 
 
     Returns the true effects matrix (optionally with additive noise of the
     given magnitude on supported entries) and the bidirected subdivision of
-    the true multidirected edges.
+    the true multidirected edges.  The noise range, 2 * perturbation, must be finite.
     """
+    if not (is_finite_real(perturbation) and perturbation >= 0 and is_finite_real(2 * perturbation)):
+        raise ValidationError(f"stage perturbation must be >= 0 with a finite range, got {perturbation!r}")
     B_hat = spec.B.copy()
     if perturbation:
         rng = np.random.default_rng(seed)
@@ -91,12 +89,12 @@ def oracle_first_stage(spec: LsemSpec, perturbation: float = 0.0, seed=None) -> 
     )
 
 
-def first_stage_from_json_dict(obj, strict: bool = True) -> FirstStageResult:
+def first_stage_from_json_dict(obj) -> FirstStageResult:
     """Parse externally computed first-stage output.
 
     Schema: {"p": int, "directed": [[i,j],...], "bidirected": [[i,j],...],
-    "B": [[...],...]}.  A bow (directed edge whose endpoints are also a
-    bidirected pair) raises in strict mode and warns otherwise.
+    "B": [[...],...]}.  Anything ``FirstStageResult`` refuses, a bow included,
+    raises SchemaError.
     """
     if not isinstance(obj, dict):
         raise SchemaError("first-stage document must be a JSON object")
@@ -112,20 +110,14 @@ def first_stage_from_json_dict(obj, strict: bool = True) -> FirstStageResult:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed first-stage document: {exc}") from exc
     try:
-        result = FirstStageResult(B, directed, BidirectedGraph(p, pairs))
+        return FirstStageResult(B, directed, BidirectedGraph(p, pairs))
     except ValidationError as exc:
         raise SchemaError(str(exc)) from exc
-    bows = result.bows()
-    if bows:
-        if strict:
-            raise SchemaError(f"first-stage output contains bows {bows}")
-        warnings.warn(f"first-stage output contains bows {bows}", stacklevel=2)
-    return result
 
 
-def load_first_stage(path, strict: bool = True) -> FirstStageResult:
+def load_first_stage(path) -> FirstStageResult:
     """Read and validate a first-stage JSON file."""
-    return first_stage_from_json_dict(fileio.load_json(path), strict=strict)
+    return first_stage_from_json_dict(fileio.load_json(path))
 
 
 class SampleCumulants:

@@ -99,7 +99,7 @@ def read_dataset(path) -> Dataset:
     return read_dataset_csv(path)
 
 
-def spec_to_json_dict(spec: LsemSpec, seed=None) -> dict:
+def spec_to_json_dict(spec: LsemSpec) -> dict:
     out = graph_to_json_dict(spec.graph)
     out["b_convention"] = B_CONVENTION
     out["B"] = [[float(x) for x in row] for row in spec.B]
@@ -112,8 +112,6 @@ def spec_to_json_dict(spec: LsemSpec, seed=None) -> dict:
         }
         for src in spec.hidden
     ]
-    if seed is not None:
-        out["seed"] = seed
     return out
 
 
@@ -146,8 +144,8 @@ def load_spec(path) -> LsemSpec:
     return spec_from_json_dict(load_json(path))
 
 
-def save_spec(spec: LsemSpec, path, seed=None):
-    save_json(spec_to_json_dict(spec, seed=seed), path)
+def save_spec(spec: LsemSpec, path):
+    save_json(spec_to_json_dict(spec), path)
 
 
 def load_graph(path) -> MixedGraph:

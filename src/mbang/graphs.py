@@ -69,24 +69,18 @@ class MixedGraph:
                     )
 
     @cached_property
-    def parent_map(self) -> dict[int, frozenset[int]]:
+    def parents(self) -> dict[int, frozenset[int]]:
         out: dict[int, set[int]] = {v: set() for v in range(1, self.p + 1)}
         for i, j in self.directed:
             out[j].add(i)
         return {v: frozenset(s) for v, s in out.items()}
 
     @cached_property
-    def child_map(self) -> dict[int, frozenset[int]]:
+    def children(self) -> dict[int, frozenset[int]]:
         out: dict[int, set[int]] = {v: set() for v in range(1, self.p + 1)}
         for i, j in self.directed:
             out[i].add(j)
         return {v: frozenset(s) for v, s in out.items()}
-
-    def parents(self, v: int) -> frozenset[int]:
-        return self.parent_map[v]
-
-    def children(self, v: int) -> frozenset[int]:
-        return self.child_map[v]
 
     @cached_property
     def ancestor_map(self) -> dict[int, frozenset[int]]:
@@ -94,7 +88,7 @@ class MixedGraph:
         anc: dict[int, frozenset[int]] = {}
         for v in topological_order(self):
             acc = {v}
-            for u in self.parent_map[v]:
+            for u in self.parents[v]:
                 acc.update(anc[u])
             anc[v] = frozenset(acc)
         return anc
@@ -143,7 +137,7 @@ def topological_order(g: MixedGraph) -> list[int]:
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for c in g.child_map[v]:
+        for c in g.children[v]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
@@ -161,13 +155,15 @@ def is_acyclic(g: MixedGraph) -> bool:
     return True
 
 
+def bows(directed, groups) -> list[Edge]:
+    """The directed edges, sorted, whose two endpoints share one of ``groups``:
+    multidirected edges, or a first stage's bidirected pairs."""
+    return sorted((i, j) for i, j in directed if any(i in h and j in h for h in groups))
+
+
 def is_bow_free(g: MixedGraph) -> bool:
     """True iff no pair is joined by both a directed and a multidirected edge."""
-    for i, j in g.directed:
-        for h in g.multi:
-            if i in h and j in h:
-                return False
-    return True
+    return not bows(g.directed, g.multi)
 
 
 def bidirected_subdivision(g: MixedGraph) -> BidirectedGraph:
@@ -212,7 +208,7 @@ def _directed_path(g: MixedGraph, s: int, t: int) -> tuple[int, ...] | None:
     queue = [s]
     while queue:
         u = queue.pop(0)
-        for c in sorted(g.child_map[u]):
+        for c in sorted(g.children[u]):
             if c not in prev:
                 prev[c] = u
                 if c == t:

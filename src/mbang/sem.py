@@ -16,6 +16,7 @@ from .distributions import Noise
 from .errors import NumericalError, ValidationError
 from .graphs import (
     MixedGraph,
+    bows,
     is_acyclic,
     is_bow_free,
     is_finite_real,
@@ -135,7 +136,7 @@ def simulate(spec: LsemSpec, n: int, seed=None) -> Dataset:
         for v, lam in zip(sorted(src.members), src.loadings):
             values[v - 1] += lam * draw
     for j in topological_order(spec.graph):
-        for i in sorted(spec.graph.parents(j)):
+        for i in sorted(spec.graph.parents[j]):
             b = spec.B[i - 1, j - 1]
             if b != 0.0:
                 values[j - 1] += b * values[i - 1]
@@ -155,16 +156,28 @@ def dedirect(data: Dataset, B: np.ndarray) -> Dataset:
 
 def standardize_rows(data: Dataset) -> Dataset:
     """Scale each row to unit empirical standard deviation (means untouched)."""
-    sd = data.values.std(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = data.values.std(axis=1)
     zero = np.flatnonzero(sd == 0.0)
     if zero.size:
         raise NumericalError(f"zero-variance row for vertex {zero[0] + 1}")
+    _refuse_non_finite(sd, "standard deviation")
     return Dataset(data.values / sd[:, None])
 
 
 def center_rows(data: Dataset) -> Dataset:
     """Subtract each row's empirical mean."""
-    return Dataset(data.values - data.values.mean(axis=1, keepdims=True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data.values.mean(axis=1, keepdims=True)
+    _refuse_non_finite(mean[:, 0], "mean")
+    return Dataset(data.values - mean)
+
+
+def _refuse_non_finite(stat: np.ndarray, name: str):
+    """NumericalError naming the first vertex whose row statistic overflowed."""
+    bad = np.flatnonzero(~np.isfinite(stat))
+    if bad.size:
+        raise NumericalError(f"row {name} for vertex {bad[0] + 1} is not finite")
 
 
 def marginalize(dag: MixedGraph, hidden) -> tuple[MixedGraph, dict[int, int]]:
@@ -185,7 +198,7 @@ def marginalize(dag: MixedGraph, hidden) -> tuple[MixedGraph, dict[int, int]]:
     for v in hidden:
         if not 1 <= v <= dag.p:
             raise ValidationError(f"hidden vertex {v} outside 1..{dag.p}")
-        if dag.parents(v):
+        if dag.parents[v]:
             raise ValidationError(f"hidden vertex {v} has parents; only parentless vertices can be hidden")
     observed = [v for v in range(1, dag.p + 1) if v not in hidden]
     relabel = {old: new for new, old in enumerate(observed, start=1)}
@@ -197,18 +210,15 @@ def marginalize(dag: MixedGraph, hidden) -> tuple[MixedGraph, dict[int, int]]:
     }
     raw_edges = []
     for v in sorted(hidden):
-        kids = sorted(dag.children(v))
+        kids = sorted(dag.children[v])
         if len(kids) >= 2:
             raw_edges.append(tuple(relabel[c] for c in kids))
 
     multi: set[frozenset[int]] = set()
     for members in sorted(raw_edges):
         mset = set(members)
-        while True:
-            bows = sorted((i, j) for (i, j) in directed if i in mset and j in mset)
-            if not bows:
-                break
-            mset.discard(bows[0][0])
+        while found := bows(directed, [mset]):
+            mset.discard(found[0][0])
         if len(mset) >= 2:
             multi.add(frozenset(mset))
 
@@ -251,7 +261,7 @@ def random_bowfree(
     candidates = [
         v
         for v in range(1, p + 1)
-        if not dag.parents(v) and len(dag.children(v)) >= 2
+        if not dag.parents[v] and len(dag.children[v]) >= 2
     ]
     hid = {v for v in candidates if rng.random() < hide_prob}
     obs_graph, _ = marginalize(dag, hid)

@@ -340,7 +340,7 @@ def test_full_workflow_round_trip(tmp_path):
 
     spec, truth = random_bowfree(7, 8, noise_from_tag("chi2"), seed=99)
     spec_path = tmp_path / "spec.json"
-    save_spec(spec, spec_path, seed=99)
+    save_spec(spec, spec_path)
     data_path = tmp_path / "data.bin"
     rc = main(["simulate", "--spec", str(spec_path), "--n", "50000", "--seed", "1",
                "--out", str(data_path), "--format", "bin"])
@@ -416,6 +416,17 @@ BAD_INPUTS = [
                                 "--out", "{tmp}/g.json"], 3),
     ("stage-with-string-effect", ["discover", "--data", "{data}", "--stage", "{string_effect_stage}",
                                   "--out", "{tmp}/g.json"], 3),
+    ("discover-lenient-retired", ["discover", "--data", "{data}", "--stage", "{bow_stage}",
+                                  "--lenient", "--out", "{tmp}/g.json"], 2),
+    *[(f"discover-perturbation-{value}", ["discover", "--data", "{data}", "--oracle-spec", "{spec}",
+                                          "--stage-perturbation", value, "--seed", "1",
+                                          "--out", "{tmp}/g.json"], 3)
+      for value in ("nan", "inf", "1e308", "-1")],
+    ("discover-perturbation-overflows-sd", ["discover", "--data", "{data}", "--oracle-spec", "{spec}",
+                                            "--stage-perturbation", "1e200", "--seed", "1",
+                                            "--out", "{tmp}/g.json"], 4),
+    ("stage-effect-overflows-sd", ["discover", "--data", "{data}", "--stage", "{huge_effect_stage}",
+                                   "--out", "{tmp}/g.json"], 4),
     ("discover-perturbation-without-seed", ["discover", "--data", "{data}", "--oracle-spec", "{spec}",
                                             "--stage-perturbation", "0.01", "--out", "{tmp}/g.json"], 2),
     ("benchmark-nan-tolerance", ["benchmark", "--trials", "1", "--tolerance", "nan"], 3),
@@ -485,6 +496,8 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
         ("string_effect_spec", _edited(spec_doc, ("B", 0, 0), "0")),
         ("bool_effect_stage", _edited(stage_doc, ("B", 0, 1), True)),
         ("string_effect_stage", _edited(stage_doc, ("B", 0, 1), "0.5")),
+        ("huge_effect_stage", _edited(stage_doc, ("B", 0, 1), 1e200)),
+        ("bow_stage", {**stage_doc, "bidirected": [[1, 2]]}),
         ("neg_seed_config", {"trials": 1, "seed": -1}),
         ("fractional_n_config", {"n": 2.5}),
         ("fractional_graph", {"p": 2.5, "directed": [], "multi": []}),

@@ -65,6 +65,15 @@ class TestOracleFirstStage:
         with pytest.raises(ValidationError):
             FirstStageResult(B, frozenset(), BidirectedGraph(2))
 
+    @pytest.mark.parametrize(
+        "directed, pairs",
+        [({(1, 2)}, {frozenset((1, 2))}), ({(1, 1)}, set()), ({(1, 3)}, set())],
+        ids=["bow", "self-loop", "out-of-range"],
+    )
+    def test_result_rejects_bad_directed_edges(self, directed, pairs):
+        with pytest.raises(ValidationError):
+            FirstStageResult(np.zeros((2, 2)), directed, BidirectedGraph(2, pairs))
+
 
 class TestExternalFirstStage:
     def test_ecology_shaped_stage_parses(self):
@@ -90,9 +99,6 @@ class TestExternalFirstStage:
         }
         with pytest.raises(SchemaError):
             first_stage_from_json_dict(doc)
-        with pytest.warns(UserWarning):
-            stage = first_stage_from_json_dict(doc, strict=False)
-        assert stage.bows() == [(1, 2)]
 
     def test_malformed_document(self):
         with pytest.raises(SchemaError):

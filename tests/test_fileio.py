@@ -107,7 +107,7 @@ class TestSpecJson:
     def test_round_trip(self, tmp_path):
         spec = showcase_spec()
         path = tmp_path / "spec.json"
-        save_spec(spec, path, seed=41)
+        save_spec(spec, path)
         back = load_spec(path)
         assert back.graph == spec.graph
         assert np.array_equal(back.B, spec.B)

@@ -15,7 +15,9 @@ from mbang import (
     is_bow_free,
     topological_order,
 )
+from mbang import FirstStageResult
 from mbang.graphs import (
+    bows,
     check_vertex_tuple,
     format_graph,
     graph_from_json_dict,
@@ -92,6 +94,48 @@ class TestBowFree:
 
     def test_bow_inside_larger_edge(self):
         assert not is_bow_free(MixedGraph(3, {(1, 2)}, [{1, 2, 3}]))
+
+    @staticmethod
+    def _random_edges(rng, p):
+        ends = rng.integers(1, p + 1, size=(int(rng.integers(0, 6)), 2))
+        return {(int(i), int(j)) for i, j in ends if i != j}
+
+    def test_bows_agree_with_pair_membership(self):
+        # A directed edge is a bow when its endpoints form a pair of the
+        # bidirected subdivision; these graphs are drawn with bows allowed.
+        rng = np.random.default_rng(22)
+        found = 0
+        for _ in range(200):
+            p = int(rng.integers(2, 8))
+            multi = [
+                rng.choice(p, size=int(rng.integers(2, p + 1)), replace=False) + 1
+                for _ in range(int(rng.integers(0, 3)))
+            ]
+            g = MixedGraph(p, self._random_edges(rng, p), multi)
+            pairs = bidirected_subdivision(g).pairs
+            want = sorted(e for e in g.directed if frozenset(e) in pairs)
+            assert bows(g.directed, g.multi) == want
+            assert bows(g.directed, pairs) == want
+            assert is_bow_free(g) == (not want)
+            found += bool(want)
+        assert 0 < found < 200
+
+    def test_first_stage_refuses_exactly_the_bows(self):
+        rng = np.random.default_rng(23)
+        refused = 0
+        for _ in range(200):
+            p = int(rng.integers(2, 7))
+            directed = self._random_edges(rng, p)
+            pairs = {frozenset(e) for e in self._random_edges(rng, p)}
+            want = sorted(e for e in directed if frozenset(e) in pairs)
+            try:
+                FirstStageResult(np.zeros((p, p)), directed, BidirectedGraph(p, pairs))
+            except ValidationError as exc:
+                assert f"bows {want}" in str(exc)
+                refused += 1
+            else:
+                assert not want
+        assert 0 < refused < 200
 
 
 class TestSubdivision:

@@ -208,7 +208,7 @@ class TestMarginalize:
             hidden = {
                 v
                 for v in range(1, p + 1)
-                if not dag.parents(v) and len(dag.children(v)) >= 2 and rng.random() < 0.5
+                if not dag.parents[v] and len(dag.children[v]) >= 2 and rng.random() < 0.5
             }
             got, _ = marginalize(dag, hidden)
             assert is_bow_free(got) and is_acyclic(got)
