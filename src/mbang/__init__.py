@@ -26,7 +26,6 @@ from .discovery import (
 from .distributions import Noise, PRESETS, noise_from_tag
 from .errors import MbangError, NumericalError, SchemaError, ValidationError
 from .graphs import (
-    BidirectedGraph,
     MixedGraph,
     bidirected_subdivision,
     find_k_trek,

@@ -90,8 +90,8 @@ def score(truth: MixedGraph, recovered: MixedGraph, subdivision_mode: bool = Fal
     if truth.p != recovered.p:
         raise ValidationError(f"vertex sets differ: {truth.p} vs {recovered.p}")
     if subdivision_mode:
-        t = bidirected_subdivision(truth).pairs
-        r = bidirected_subdivision(recovered).pairs
+        t = bidirected_subdivision(truth).multi
+        r = bidirected_subdivision(recovered).multi
     else:
         t = truth.multi
         r = recovered.multi
@@ -118,15 +118,12 @@ def _run_trial(cfg: TrialConfig, trial: int) -> TrialOutcome:
             stage = load_first_stage(
                 os.path.join(cfg.stage, f"trial_{trial:04d}.json")
             )
-        stage_exact = (
-            stage.directed == truth.directed
-            and stage.bidirected.pairs == bidirected_subdivision(truth).pairs
-        )
+        stage_exact = stage.graph == bidirected_subdivision(truth)
         result = run_mbang(Y, stage, cfg.discovery_config())
     except MbangError as exc:  # trial-level failures are recorded, not fatal
         wall = (time.perf_counter() - start) * 1000.0
         edge_total = len(truth.multi)
-        sub_total = len(bidirected_subdivision(truth).pairs)
+        sub_total = len(bidirected_subdivision(truth).multi)
         return TrialOutcome(
             trial, truth, None, 0, edge_total, False, False, 0, sub_total, wall,
             error=f"{type(exc).__name__}: {exc}",
@@ -148,8 +145,10 @@ def run_benchmark(cfg: TrialConfig):
     trials that have at least one ground-truth edge.
     """
     indices = list(range(cfg.trials))
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # The pool starts all its workers at the first submit: never more than trials.
+    workers = min(cfg.workers, cfg.trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, [cfg] * len(indices), indices))
     else:
         outcomes = [_run_trial(cfg, t) for t in indices]

@@ -154,7 +154,7 @@ def _cmd_graph_tools(args) -> int:
         print(format_graph(g))
         print(f"acyclic: {is_acyclic(g)}")
         print(f"bow-free: {is_bow_free(g)}")
-        cliques = enumerate_cliques(bidirected_subdivision(g))
+        cliques = enumerate_cliques(g)
         print("subdivision cliques: " + "; ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in cliques))
         return 0
     if args.tool == "dot":
@@ -162,7 +162,7 @@ def _cmd_graph_tools(args) -> int:
             fh.write(graph_to_dot(g))
         return 0
     # "subdivide": the parser's choices admit no other tool.
-    pairs = sorted(tuple(sorted(pr)) for pr in bidirected_subdivision(g).pairs)
+    pairs = sorted(tuple(sorted(pr)) for pr in bidirected_subdivision(g).multi)
     fileio.save_json({"p": g.p, "bidirected": [list(pr) for pr in pairs]}, args.out)
     return 0
 

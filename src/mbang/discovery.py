@@ -1,7 +1,7 @@
 """Recovering multidirected edges: first-stage adapters and the gated clique search.
 
 The pipeline takes observations Y, a first stage supplying the direct-effects
-estimate and the bidirected pair structure, removes the direct effects
+estimate and a mixed graph of bidirected pairs, removes the direct effects
 (X = Y - B^T Y), and then merges bidirected pairs into multidirected edges by
 running a Bron-Kerbosch recursion whose every extension is gated on a nonzero
 higher-order cumulant of X.
@@ -16,8 +16,8 @@ import numpy as np
 from . import fileio
 from .cumulants import PopulationCumulants, cumulant_from_moments
 from .errors import SchemaError, ValidationError
-from .graphs import BidirectedGraph, MixedGraph, bidirected_subdivision, graph_to_json_dict
-from .graphs import bows, is_finite_real, vertex_label
+from .graphs import MixedGraph, bidirected_subdivision, bows, graph_from_json_dict
+from .graphs import graph_to_json_dict, is_finite_real, sorted_multi
 from .sem import Dataset, LsemSpec, center_rows, dedirect, effects_matrix, standardize_rows
 
 EXACT_EPS = 1e-9
@@ -45,27 +45,26 @@ class DiscoveryConfig:
 
 @dataclass(frozen=True)
 class FirstStageResult:
-    """Output of the first stage: effects estimate plus pair-level structure.
+    """Output of the first stage: the effects estimate and a bow-free mixed
+    graph whose multidirected edges are all bidirected pairs.
 
-    ``directed`` obeys the rules of ``MixedGraph``, and a bow (a directed edge
-    whose endpoints are also a bidirected pair) raises ValidationError.
+    A wider multidirected edge, a bow (a directed edge whose endpoints are
+    also a pair), or a nonzero of ``B_hat`` off the directed edges raises
+    ValidationError.
     """
 
     B_hat: np.ndarray
-    directed: frozenset[tuple[int, int]]
-    bidirected: BidirectedGraph
+    graph: MixedGraph
 
     def __post_init__(self):
-        p = self.bidirected.p
-        object.__setattr__(self, "directed", MixedGraph(p, self.directed).directed)
-        found = bows(self.directed, self.bidirected.pairs)
+        g = self.graph
+        wide = sorted_multi(h for h in g.multi if len(h) != 2)
+        if wide:
+            raise ValidationError(f"first-stage bidirected edges must be pairs, got {wide}")
+        found = bows(g.directed, g.multi)
         if found:
             raise ValidationError(f"first stage contains bows {found}")
-        object.__setattr__(self, "B_hat", effects_matrix(self.B_hat, p, self.directed, "B_hat"))
-
-    @property
-    def p(self) -> int:
-        return self.bidirected.p
+        object.__setattr__(self, "B_hat", effects_matrix(self.B_hat, g.p, g.directed, "B_hat"))
 
 
 def oracle_first_stage(spec: LsemSpec, perturbation: float = 0.0, seed=None) -> FirstStageResult:
@@ -82,35 +81,25 @@ def oracle_first_stage(spec: LsemSpec, perturbation: float = 0.0, seed=None) -> 
         rng = np.random.default_rng(seed)
         for i, j in sorted(spec.graph.directed):
             B_hat[i - 1, j - 1] += rng.uniform(-perturbation, perturbation)
-    return FirstStageResult(
-        B_hat=B_hat,
-        directed=spec.graph.directed,
-        bidirected=bidirected_subdivision(spec.graph),
-    )
+    return FirstStageResult(B_hat, bidirected_subdivision(spec.graph))
 
 
 def first_stage_from_json_dict(obj) -> FirstStageResult:
     """Parse externally computed first-stage output.
 
     Schema: {"p": int, "directed": [[i,j],...], "bidirected": [[i,j],...],
-    "B": [[...],...]}.  Anything ``FirstStageResult`` refuses, a bow included,
-    raises SchemaError.
+    "B": [[...],...]}.  Anything ``FirstStageResult`` refuses, a bow or a
+    ``bidirected`` entry that is not a pair included, raises SchemaError.
     """
     if not isinstance(obj, dict):
         raise SchemaError("first-stage document must be a JSON object")
     try:
-        p = vertex_label(obj["p"])
-        directed = frozenset((vertex_label(i), vertex_label(j)) for i, j in obj.get("directed", []))
-        pairs = frozenset(
-            frozenset((vertex_label(i), vertex_label(j))) for i, j in obj.get("bidirected", [])
-        )
+        graph = graph_from_json_dict({**obj, "multi": obj.get("bidirected", [])})
         if not all(is_finite_real(x) for row in obj["B"] for x in row):
             raise SchemaError("B_hat entries must be finite real numbers")
-        B = np.asarray(obj["B"], dtype=float)
+        return FirstStageResult(np.asarray(obj["B"], dtype=float), graph)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed first-stage document: {exc}") from exc
-    try:
-        return FirstStageResult(B, directed, BidirectedGraph(p, pairs))
     except ValidationError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -197,12 +186,15 @@ def cumulant_test(provider, R, v: int, cfg: DiscoveryConfig):
     return False, None
 
 
-def find_multidirected(provider, bg: BidirectedGraph, cfg: DiscoveryConfig | None = None):
-    """Cumulant-gated Bron-Kerbosch over the bidirected pairs.
+def find_multidirected(provider, graph: MixedGraph, cfg: DiscoveryConfig | None = None):
+    """Cumulant-gated Bron-Kerbosch over ``graph.adjacency``.
+
+    Two vertices are adjacent when they share a multidirected edge, so a graph
+    and its bidirected subdivision give the same walk.
 
     Exactly the pivotless recursion: a node reports its clique R (when
     |R| >= 2) only if both the candidate set P and the excluded set Q are
-    empty on entry; each v in P with a nonempty bidirected neighborhood is
+    empty on entry; each v in P with a nonempty neighborhood is
     recursed into only when :func:`cumulant_test` passes, and is then moved
     from P to Q whether or not it passed.  Iteration order over P is sorted,
     so results are deterministic.
@@ -212,7 +204,7 @@ def find_multidirected(provider, bg: BidirectedGraph, cfg: DiscoveryConfig | Non
     each admission along its path.
     """
     cfg = cfg or DiscoveryConfig()
-    adj = bg.adjacency
+    adj = graph.adjacency
     reported: dict[frozenset[int], list[dict]] = {}
 
     def walk(R: tuple[int, ...], P: set[int], Q: set[int], chain: tuple[dict, ...]):
@@ -228,7 +220,7 @@ def find_multidirected(provider, bg: BidirectedGraph, cfg: DiscoveryConfig | Non
             Q = Q | {v}
 
     try:
-        walk((), set(range(1, bg.p + 1)), set(), ())
+        walk((), set(range(1, graph.p + 1)), set(), ())
     except BaseException:
         # The closure refers to itself; after a refused order, clear it so the
         # provider's data goes when the caller drops the exception, not at the
@@ -250,9 +242,10 @@ class _AlwaysNonzero:
         return 1.0
 
 
-def enumerate_cliques(bg: BidirectedGraph) -> list[frozenset[int]]:
-    """All maximal cliques with >= 2 vertices, sorted: the walk with an always-passing gate."""
-    _, diagnostics = find_multidirected(_AlwaysNonzero(), bg)
+def enumerate_cliques(graph: MixedGraph) -> list[frozenset[int]]:
+    """All maximal cliques of ``graph.adjacency`` with >= 2 vertices, sorted:
+    the walk with an always-passing gate."""
+    _, diagnostics = find_multidirected(_AlwaysNonzero(), graph)
     return [frozenset(d["edge"]) for d in diagnostics]
 
 
@@ -279,11 +272,11 @@ def _assemble(stage: FirstStageResult, edges, diagnostics, cfg) -> DiscoveryResu
     # already established.
     multi = set(edges)
     diags = list(diagnostics)
-    for pair in sorted(stage.bidirected.pairs, key=lambda s: tuple(sorted(s))):
+    for pair in sorted(stage.graph.multi, key=lambda s: tuple(sorted(s))):
         if not any(pair <= m for m in edges):
             multi.add(pair)
             diags.append({"edge": sorted(pair), "source": "retained", "tests": []})
-    graph = MixedGraph(stage.p, stage.directed, frozenset(multi))
+    graph = MixedGraph(stage.graph.p, stage.graph.directed, frozenset(multi))
     return DiscoveryResult(graph=graph, B_hat=stage.B_hat, config=cfg, diagnostics=tuple(diags))
 
 
@@ -294,15 +287,13 @@ def run_mbang(Y: Dataset, stage: FirstStageResult, cfg: DiscoveryConfig | None =
     gated search, so the tolerance always applies to standardized cumulants.
     """
     cfg = cfg or DiscoveryConfig()
-    if stage.p != Y.p:
-        raise ValidationError(
-            f"first stage is for p={stage.p} but data has {Y.p} rows"
-        )
+    if stage.graph.p != Y.p:
+        raise ValidationError(f"first stage is for p={stage.graph.p} but data has {Y.p} rows")
     X = dedirect(Y, stage.B_hat)
     X = center_rows(X)
     X = standardize_rows(X)
     provider = SampleCumulants(X)
-    edges, diagnostics = find_multidirected(provider, stage.bidirected, cfg)
+    edges, diagnostics = find_multidirected(provider, stage.graph, cfg)
     return _assemble(stage, edges, diagnostics, cfg)
 
 
@@ -315,5 +306,5 @@ def run_mbang_population(spec: LsemSpec, cfg: DiscoveryConfig | None = None) -> 
     cfg = replace(cfg or DiscoveryConfig(), cumulant_tolerance=EXACT_EPS)
     stage = oracle_first_stage(spec)
     provider = PopulationCumulants.from_spec(spec, dedirected=True)
-    edges, diagnostics = find_multidirected(provider, stage.bidirected, cfg)
+    edges, diagnostics = find_multidirected(provider, stage.graph, cfg)
     return _assemble(stage, edges, diagnostics, cfg)

@@ -93,33 +93,14 @@ class MixedGraph:
             anc[v] = frozenset(acc)
         return anc
 
-
-@dataclass(frozen=True)
-class BidirectedGraph:
-    """Vertices 1..p with unordered bidirected pairs only."""
-
-    p: int
-    pairs: frozenset[frozenset[int]] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", _as_multi_set(self.pairs))
-        if self.p < 0:
-            raise ValidationError("vertex count must be nonnegative")
-        for pair in self.pairs:
-            if len(pair) != 2:
-                raise ValidationError(f"bidirected pair {sorted(pair)} must have 2 distinct vertices")
-            for v in pair:
-                if not 1 <= v <= self.p:
-                    raise ValidationError(f"bidirected pair vertex {v} outside 1..{self.p}")
-
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:
+        """Maps v to every vertex that shares a multidirected edge with v."""
         out: dict[int, set[int]] = {v: set() for v in range(1, self.p + 1)}
-        for pair in self.pairs:
-            a, b = sorted(pair)
-            out[a].add(b)
-            out[b].add(a)
-        return {v: frozenset(s) for v, s in out.items()}
+        for h in self.multi:
+            for v in h:
+                out[v].update(h)
+        return {v: frozenset(s - {v}) for v, s in out.items()}
 
 
 def topological_order(g: MixedGraph) -> list[int]:
@@ -156,8 +137,7 @@ def is_acyclic(g: MixedGraph) -> bool:
 
 
 def bows(directed, groups) -> list[Edge]:
-    """The directed edges, sorted, whose two endpoints share one of ``groups``:
-    multidirected edges, or a first stage's bidirected pairs."""
+    """The directed edges, sorted, whose two endpoints share one of ``groups``."""
     return sorted((i, j) for i, j in directed if any(i in h and j in h for h in groups))
 
 
@@ -166,13 +146,11 @@ def is_bow_free(g: MixedGraph) -> bool:
     return not bows(g.directed, g.multi)
 
 
-def bidirected_subdivision(g: MixedGraph) -> BidirectedGraph:
-    """Replace each k-directed edge by its (k choose 2) bidirected pairs."""
-    pairs: set[frozenset[int]] = set()
-    for h in g.multi:
-        for a, b in itertools.combinations(sorted(h), 2):
-            pairs.add(frozenset((a, b)))
-    return BidirectedGraph(g.p, frozenset(pairs))
+def bidirected_subdivision(g: MixedGraph) -> MixedGraph:
+    """``g`` with each k-directed edge replaced by its (k choose 2) bidirected
+    pairs; the directed edges and the adjacency stay as they are."""
+    pairs = {frozenset(e) for h in g.multi for e in itertools.combinations(h, 2)}
+    return MixedGraph(g.p, g.directed, frozenset(pairs))
 
 
 def check_vertex_tuple(p: int, t) -> tuple[int, ...]:

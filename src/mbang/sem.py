@@ -147,11 +147,17 @@ def dedirect(data: Dataset, B: np.ndarray) -> Dataset:
     """Remove estimated direct effects: X = Y - B^T Y (row = cause convention).
 
     With the true B this recovers the correlated noise vector sample by sample.
+    With finite Y and B a non-finite X can only be an overflow: NumericalError.
     """
     B = np.asarray(B, dtype=float)
     if B.shape != (data.p, data.p):
         raise ValidationError(f"effects matrix must be {data.p}x{data.p}, got {B.shape}")
-    return Dataset(data.values - B.T @ data.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = data.values - B.T @ data.values
+    try:
+        return Dataset(X)
+    except ValidationError as exc:
+        raise NumericalError(f"dedirection X = Y - B^T Y overflowed: {exc}") from exc
 
 
 def standardize_rows(data: Dataset) -> Dataset:

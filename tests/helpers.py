@@ -22,7 +22,6 @@ from collections import Counter
 import numpy as np
 
 from mbang import (
-    BidirectedGraph,
     HiddenSource,
     LsemSpec,
     MixedGraph,
@@ -192,7 +191,7 @@ def random_spec(rng, graph: MixedGraph, noises=SKEWED) -> LsemSpec:
     return LsemSpec(graph, B, tuple(pick() for _ in range(p)), hidden)
 
 
-def exhaustive_maximal_cliques(bg: BidirectedGraph) -> list[frozenset[int]]:
+def exhaustive_maximal_cliques(bg: MixedGraph) -> list[frozenset[int]]:
     """Subset-enumeration oracle for maximal cliques of size >= 2 (p <= 8)."""
     adj = bg.adjacency
     vertices = range(1, bg.p + 1)

@@ -11,8 +11,8 @@ from dataclasses import replace
 import numpy as np
 
 from mbang import (
-    BidirectedGraph,
     DiscoveryConfig,
+    MixedGraph,
     PopulationCumulants,
     center_rows,
     dedirect,
@@ -183,7 +183,7 @@ def test_criterion_6_degeneration_to_bron_kerbosch():
             for pair in itertools.combinations(range(1, p + 1), 2)
             if rng.random() < 0.4
         }
-        bg = BidirectedGraph(p, frozenset(pairs))
+        bg = MixedGraph(p, multi=frozenset(pairs))
         got, _ = find_multidirected(AlwaysNonzero(), bg, DiscoveryConfig())
         oracle = exhaustive_maximal_cliques(bg)
         if got != set(oracle) or sorted(

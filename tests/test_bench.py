@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from mbang import MixedGraph, ValidationError, score
+from mbang import MixedGraph, ValidationError, bench, score
 from mbang.bench import (
     CSV_FIELDS,
     TrialConfig,
@@ -63,6 +63,29 @@ class TestRunBenchmark:
         seq, _ = run_benchmark(small_cfg())
         par, _ = run_benchmark(small_cfg(workers=2))
         assert [o.recovered for o in seq] == [o.recovered for o in par]
+
+    def test_pool_never_exceeds_the_trial_count(self, monkeypatch):
+        # A fake pool: it records its size and maps serially, so no process starts.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+        run_benchmark(small_cfg(trials=3, workers=10**6))
+        assert sizes == [3]
+        run_benchmark(small_cfg(trials=1, workers=10**6))
+        assert sizes == [3]  # one trial takes the serial path
 
     def test_no_edges_means_perfect_recovery(self):
         _, agg = run_benchmark(small_cfg(edges=0, trials=5))

@@ -292,7 +292,7 @@ class TestSamples:
 
         root = pathlib.Path(__file__).resolve().parent.parent / "samples"
         stage = load_first_stage(root / "external_stage_example.json")
-        assert stage.p == 8 and len(stage.bidirected.pairs) == 7
+        assert stage.graph.p == 8 and len(stage.graph.multi) == 7
 
     def test_bench_config_sample_constructs(self):
         import pathlib
@@ -427,6 +427,15 @@ BAD_INPUTS = [
                                             "--out", "{tmp}/g.json"], 4),
     ("stage-effect-overflows-sd", ["discover", "--data", "{data}", "--stage", "{huge_effect_stage}",
                                    "--out", "{tmp}/g.json"], 4),
+    ("discover-perturbation-overflows-dedirect", ["discover", "--data", "{data}", "--oracle-spec", "{spec}",
+                                                  "--stage-perturbation", "8e307", "--seed", "1",
+                                                  "--out", "{tmp}/g.json"], 4),
+    ("stage-effect-overflows-dedirect", ["discover", "--data", "{data}", "--stage", "{max_effect_stage}",
+                                         "--out", "{tmp}/g.json"], 4),
+    ("stage-with-bidirected-triple", ["discover", "--data", "{data}", "--stage", "{triple_stage}",
+                                      "--out", "{tmp}/g.json"], 3),
+    ("stage-with-bidirected-loop", ["discover", "--data", "{data}", "--stage", "{loop_stage}",
+                                    "--out", "{tmp}/g.json"], 3),
     ("discover-perturbation-without-seed", ["discover", "--data", "{data}", "--oracle-spec", "{spec}",
                                             "--stage-perturbation", "0.01", "--out", "{tmp}/g.json"], 2),
     ("benchmark-nan-tolerance", ["benchmark", "--trials", "1", "--tolerance", "nan"], 3),
@@ -497,7 +506,10 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
         ("bool_effect_stage", _edited(stage_doc, ("B", 0, 1), True)),
         ("string_effect_stage", _edited(stage_doc, ("B", 0, 1), "0.5")),
         ("huge_effect_stage", _edited(stage_doc, ("B", 0, 1), 1e200)),
+        ("max_effect_stage", _edited(stage_doc, ("B", 0, 1), 1e308)),
         ("bow_stage", {**stage_doc, "bidirected": [[1, 2]]}),
+        ("triple_stage", {**stage_doc, "bidirected": [[1, 2, 3]]}),
+        ("loop_stage", {**stage_doc, "bidirected": [[1, 1]]}),
         ("neg_seed_config", {"trials": 1, "seed": -1}),
         ("fractional_n_config", {"n": 2.5}),
         ("fractional_graph", {"p": 2.5, "directed": [], "multi": []}),

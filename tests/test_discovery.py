@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from mbang import (
-    BidirectedGraph,
     DiscoveryConfig,
     FirstStageResult,
+    MixedGraph,
     PopulationCumulants,
     SampleCumulants,
     SchemaError,
@@ -49,8 +49,8 @@ class TestOracleFirstStage:
         spec = showcase_spec()
         stage = oracle_first_stage(spec)
         assert np.array_equal(stage.B_hat, spec.B)
-        assert stage.directed == spec.graph.directed
-        assert stage.bidirected.pairs == bidirected_subdivision(spec.graph).pairs
+        assert stage.graph.directed == spec.graph.directed
+        assert stage.graph.multi == bidirected_subdivision(spec.graph).multi
 
     def test_perturbation_is_bounded(self):
         spec = showcase_spec()
@@ -63,7 +63,7 @@ class TestOracleFirstStage:
         B = np.zeros((2, 2))
         B[0, 1] = 0.5
         with pytest.raises(ValidationError):
-            FirstStageResult(B, frozenset(), BidirectedGraph(2))
+            FirstStageResult(B, MixedGraph(2))
 
     @pytest.mark.parametrize(
         "directed, pairs",
@@ -72,15 +72,15 @@ class TestOracleFirstStage:
     )
     def test_result_rejects_bad_directed_edges(self, directed, pairs):
         with pytest.raises(ValidationError):
-            FirstStageResult(np.zeros((2, 2)), directed, BidirectedGraph(2, pairs))
+            FirstStageResult(np.zeros((2, 2)), MixedGraph(2, directed, pairs))
 
 
 class TestExternalFirstStage:
     def test_ecology_shaped_stage_parses(self):
         stage = first_stage_from_json_dict(ecology_like_stage_dict())
-        assert len(stage.bidirected.pairs) == 7
-        assert {v for pr in stage.bidirected.pairs for v in pr} == {1, 5, 6, 7, 8}
-        assert enumerate_cliques(stage.bidirected) == sorted(
+        assert len(stage.graph.multi) == 7
+        assert {v for pr in stage.graph.multi for v in pr} == {1, 5, 6, 7, 8}
+        assert enumerate_cliques(stage.graph) == sorted(
             (frozenset(h) for h in ECO_EDGES), key=lambda s: tuple(sorted(s))
         )
 
@@ -88,7 +88,7 @@ class TestExternalFirstStage:
         path = tmp_path / "stage.json"
         path.write_text(json.dumps(ecology_like_stage_dict()))
         stage = load_first_stage(path)
-        assert stage.p == 8
+        assert stage.graph.p == 8
 
     def test_bow_rejected_in_strict_mode(self):
         doc = {
@@ -113,7 +113,7 @@ class TestExternalFirstStage:
     def test_empty_bidirected_set_yields_no_edges(self):
         spec = case2_spec()
         stage = FirstStageResult(
-            spec.B, spec.graph.directed, BidirectedGraph(4)
+            spec.B, MixedGraph(4, spec.graph.directed)
         )
         result = run_mbang(simulate(spec, 2000, seed=0), stage)
         assert result.graph.multi == frozenset()
@@ -186,7 +186,7 @@ class TestFindMultidirected:
 
     def test_empty_bidirected_graph(self):
         provider = PopulationCumulants.from_spec(case1_spec())
-        got, diags = find_multidirected(provider, BidirectedGraph(4), DiscoveryConfig())
+        got, diags = find_multidirected(provider, MixedGraph(4), DiscoveryConfig())
         assert got == set() and diags == []
 
     def test_degenerates_to_bron_kerbosch_when_gate_is_forced(self):
@@ -202,7 +202,7 @@ class TestFindMultidirected:
                 for pr in itertools.combinations(range(1, p + 1), 2)
                 if rng.random() < 0.4
             }
-            bg = BidirectedGraph(p, frozenset(pairs))
+            bg = MixedGraph(p, multi=frozenset(pairs))
             got, _ = find_multidirected(AlwaysNonzero(), bg, DiscoveryConfig())
             assert got == set(enumerate_cliques(bg))
 
@@ -256,7 +256,7 @@ class TestFindMultidirected:
                 for pr in itertools.combinations(range(1, p + 1), 2)
                 if rng.random() < 0.5
             }
-            bg = BidirectedGraph(p, frozenset(pairs))
+            bg = MixedGraph(p, multi=frozenset(pairs))
             for relaxed in (True, False):
                 cfg = DiscoveryConfig(relaxed_test=relaxed)
                 provider = HashProvider(salt)
@@ -284,12 +284,12 @@ class TestFindMultidirected:
                 for pr in itertools.combinations(range(1, p + 1), 2)
                 if rng.random() < 0.6
             }
-            bg = BidirectedGraph(p, frozenset(pairs))
+            bg = MixedGraph(p, multi=frozenset(pairs))
             for relaxed in (True, False):
                 provider = CountingProvider(rng)
                 find_multidirected(provider, bg, DiscoveryConfig(relaxed_test=relaxed))
                 repeated = [key for key, count in provider.requests.items() if count > 1]
-                assert not repeated, (sorted(bg.pairs, key=sorted), relaxed, repeated)
+                assert not repeated, (sorted(bg.multi, key=sorted), relaxed, repeated)
 
     def test_order_overflow_raises_clearly(self):
         # both providers refuse queries past the supported order; a clique of
@@ -310,7 +310,7 @@ class TestFindMultidirected:
         rng = np.random.default_rng(3)
         X = rng.exponential(size=2000) + 0.1 * rng.normal(size=(9, 2000))
         X -= X.mean(axis=1, keepdims=True)
-        bg = BidirectedGraph(9, frozenset(map(frozenset, itertools.combinations(range(1, 10), 2))))
+        bg = MixedGraph(9, multi=frozenset(map(frozenset, itertools.combinations(range(1, 10), 2))))
         provider = SampleCumulants(X)
         ref = weakref.ref(provider)
         gc.disable()
@@ -375,7 +375,7 @@ class TestRunMbang:
                 covered.update(
                     frozenset(pr) for pr in itertools.combinations(sorted(h), 2)
                 )
-            assert bg.pairs <= covered
+            assert bg.multi <= covered
 
     def test_symmetric_triangle_needs_relaxed_test(self):
         spec = symmetric_triangle_spec()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mbang import (
-    BidirectedGraph,
     MixedGraph,
     ValidationError,
     bidirected_subdivision,
@@ -57,8 +56,8 @@ class TestConstruction:
         assert len(g.multi) == 2
 
     def test_bidirected_pair_must_have_two_vertices(self):
-        with pytest.raises(ValidationError):
-            BidirectedGraph(3, [{1, 2, 3}])
+        with pytest.raises(ValidationError, match="must be pairs"):
+            FirstStageResult(np.zeros((3, 3)), MixedGraph(3, multi=[{1, 2, 3}]))
 
 
 class TestAcyclic:
@@ -112,7 +111,7 @@ class TestBowFree:
                 for _ in range(int(rng.integers(0, 3)))
             ]
             g = MixedGraph(p, self._random_edges(rng, p), multi)
-            pairs = bidirected_subdivision(g).pairs
+            pairs = bidirected_subdivision(g).multi
             want = sorted(e for e in g.directed if frozenset(e) in pairs)
             assert bows(g.directed, g.multi) == want
             assert bows(g.directed, pairs) == want
@@ -129,7 +128,7 @@ class TestBowFree:
             pairs = {frozenset(e) for e in self._random_edges(rng, p)}
             want = sorted(e for e in directed if frozenset(e) in pairs)
             try:
-                FirstStageResult(np.zeros((p, p)), directed, BidirectedGraph(p, pairs))
+                FirstStageResult(np.zeros((p, p)), MixedGraph(p, directed, pairs))
             except ValidationError as exc:
                 assert f"bows {want}" in str(exc)
                 refused += 1
@@ -141,13 +140,13 @@ class TestBowFree:
 class TestSubdivision:
     def test_triple(self):
         bg = bidirected_subdivision(MixedGraph(4, frozenset(), [{2, 3, 4}]))
-        assert bg.pairs == frozenset(
+        assert bg.multi == frozenset(
             {frozenset({2, 3}), frozenset({2, 4}), frozenset({3, 4})}
         )
 
     def test_pair_is_identity(self):
         bg = bidirected_subdivision(MixedGraph(2, frozenset(), [{1, 2}]))
-        assert bg.pairs == frozenset({frozenset({1, 2})})
+        assert bg.multi == frozenset({frozenset({1, 2})})
 
     def test_overlapping_edges(self):
         bg = bidirected_subdivision(MixedGraph(4, frozenset(), [{1, 2, 3}, {3, 4}]))
@@ -157,7 +156,7 @@ class TestSubdivision:
             frozenset({2, 3}),
             frozenset({3, 4}),
         }
-        assert bg.pairs == frozenset(expected)
+        assert bg.multi == frozenset(expected)
 
     def test_monotone_under_added_edges(self):
         rng = np.random.default_rng(12)
@@ -167,7 +166,39 @@ class TestSubdivision:
             bigger = MixedGraph(
                 g.p, frozenset(), frozenset(g.multi) | {extra}
             )
-            assert bidirected_subdivision(g).pairs <= bidirected_subdivision(bigger).pairs
+            assert bidirected_subdivision(g).multi <= bidirected_subdivision(bigger).multi
+
+    @staticmethod
+    def _random_graph(rng):
+        # Directed edges may form bows; multidirected edges overlap, and one
+        # may be nested inside another.
+        p = int(rng.integers(2, 9))
+        ends = rng.integers(1, p + 1, size=(int(rng.integers(0, 5)), 2))
+        directed = {(int(i), int(j)) for i, j in ends if i != j}
+        multi = [
+            frozenset(int(v) for v in rng.choice(p, size=int(rng.integers(2, p + 1)), replace=False) + 1)
+            for _ in range(int(rng.integers(0, 4)))
+        ]
+        if multi and len(multi[0]) > 2 and rng.random() < 0.5:
+            multi.append(frozenset(sorted(multi[0])[:-1]))
+        return MixedGraph(p, directed, multi)
+
+    def test_subdivision_keeps_adjacency_cliques_and_bows(self):
+        rng = np.random.default_rng(24)
+        nested = overlapping = bowed = 0
+        for _ in range(200):
+            g = self._random_graph(rng)
+            sub = bidirected_subdivision(g)
+            assert all(len(pr) == 2 for pr in sub.multi)
+            assert sub.directed == g.directed and sub.p == g.p
+            pair_adj = {v: {u for pr in sub.multi if v in pr for u in pr} - {v} for v in range(1, g.p + 1)}
+            assert g.adjacency == sub.adjacency == pair_adj
+            assert enumerate_cliques(g) == enumerate_cliques(sub)
+            assert is_bow_free(g) == is_bow_free(sub)
+            nested += any(a < b for a in g.multi for b in g.multi)
+            overlapping += any(a & b and not a <= b and not b <= a for a in g.multi for b in g.multi)
+            bowed += not is_bow_free(g)
+        assert nested and overlapping and 0 < bowed < 200
 
 
 class TestTreks:
@@ -264,15 +295,15 @@ class TestTreks:
 
 class TestCliques:
     def test_triangle(self):
-        bg = BidirectedGraph(4, [{2, 3}, {2, 4}, {3, 4}])
+        bg = MixedGraph(4, multi=[{2, 3}, {2, 4}, {3, 4}])
         assert enumerate_cliques(bg) == [frozenset({2, 3, 4})]
 
     def test_disjoint_pairs(self):
-        bg = BidirectedGraph(4, [{1, 2}, {3, 4}])
+        bg = MixedGraph(4, multi=[{1, 2}, {3, 4}])
         assert enumerate_cliques(bg) == [frozenset({1, 2}), frozenset({3, 4})]
 
     def test_triangle_with_pendant(self):
-        bg = BidirectedGraph(4, [{1, 2}, {1, 3}, {2, 3}, {3, 4}])
+        bg = MixedGraph(4, multi=[{1, 2}, {1, 3}, {2, 3}, {3, 4}])
         assert enumerate_cliques(bg) == [frozenset({1, 2, 3}), frozenset({3, 4})]
 
     def test_against_exhaustive_enumeration(self):
@@ -284,7 +315,7 @@ class TestCliques:
                 for pair in itertools.combinations(range(1, p + 1), 2)
                 if rng.random() < 0.4
             }
-            bg = BidirectedGraph(p, frozenset(pairs))
+            bg = MixedGraph(p, multi=frozenset(pairs))
             assert enumerate_cliques(bg) == exhaustive_maximal_cliques(bg)
 
 
