@@ -260,6 +260,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("numerical error: out of memory; try a smaller --n", file=sys.stderr)
+        return 4
     except OSError as exc:
         # Reads report OSError as SchemaError, so what reaches here is a write.
         print(f"error: cannot write: {exc}", file=sys.stderr)

@@ -2,21 +2,21 @@
 
 Supported families, all shifted to mean zero:
 
-    uniform(a, b)        kappa_k = B_k (b-a)^k / k  for even k, 0 for odd k >= 3
+    uniform(a, b)        E[X^k] = ((b-a)/2)^k / (k+1)  for even k, 0 for odd k
+    t(df)                rescaled to unit variance; E[X^k] exists for k < df
     gamma(shape, rate)   kappa_k = shape (k-1)! / rate^k
     chi2(df)             = gamma(df/2, 1/2)
     exponential(rate)    = gamma(1, rate)
-    t(df)                rescaled to unit variance; moments exist for orders < df
 
-B_k are Bernoulli numbers.  The t family derives its cumulants from the closed
-form of its raw moments, so asking for an order >= df raises.
+Uniform and t state their raw moments and derive their cumulants from them;
+the gamma family states its cumulants and derives its raw moments.  Asking t
+for an order >= df raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -25,19 +25,6 @@ from .errors import SchemaError, ValidationError
 from .graphs import is_finite_real
 
 _FAMILIES = ("uniform", "gamma", "chi2", "exponential", "t")
-
-
-@lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    # B_0 = 1, B_1 = -1/2 convention; only even n >= 2 are consumed here.
-    b = [Fraction(0)] * (n + 1)
-    b[0] = Fraction(1)
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * b[j]
-        b[m] = -acc / (m + 1)
-    return b[n]
 
 
 def moments_from_cumulants(kappa: list[float]) -> list[float]:
@@ -119,13 +106,8 @@ class Noise:
             raise ValidationError(
                 f"cumulant of order {order} does not exist for {self.dist}{self.params}"
             )
-        if self.dist == "uniform":
-            if order % 2:
-                return 0.0
-            w = self.params[1] - self.params[0]
-            return float(_bernoulli(order)) * w**order / order
-        if self.dist == "t":
-            return _t_cumulants(self.params[0], order)[order]
+        if self.dist in ("uniform", "t"):
+            return _cumulants_from_raw(self, order)[order]
         shape, rate = self._gamma_shape_rate()
         return shape * math.factorial(order - 1) / rate**order
 
@@ -135,6 +117,9 @@ class Noise:
             raise ValidationError("moment order must be >= 0")
         if order == 0:
             return 1.0
+        if self.dist == "uniform":
+            half_width = (self.params[1] - self.params[0]) / 2
+            return 0.0 if order % 2 else half_width**order / (order + 1)
         if self.dist == "t":
             return _t_moment(self.params[0], order)
         kappa = [0.0] + [self.cumulant(k) for k in range(1, order + 1)]
@@ -149,16 +134,12 @@ class Noise:
         if d == "t":
             df = p[0]
             return rng.standard_t(df, size=n) / math.sqrt(df / (df - 2.0))
-        if d == "gamma":
-            shape, rate = p
-            return rng.gamma(shape, 1.0 / rate, size=n) - shape / rate
-        if d == "chi2":
-            df = p[0]
-            return rng.chisquare(df, size=n) - df
         if d == "exponential":
+            # rng.gamma(1, 1/rate) draws the same bits, but more slowly.
             rate = p[0]
             return rng.exponential(1.0 / rate, size=n) - 1.0 / rate
-        raise AssertionError(d)
+        shape, rate = self._gamma_shape_rate()
+        return rng.gamma(shape, 1.0 / rate, size=n) - shape / rate
 
 
 def _t_moment(df: float, order: int) -> float:
@@ -174,9 +155,9 @@ def _t_moment(df: float, order: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _t_cumulants(df: float, order: int) -> tuple[float, ...]:
-    m = [1.0] + [_t_moment(df, r) for r in range(1, order + 1)]
-    return tuple(cumulants_from_moments(m))
+def _cumulants_from_raw(noise: Noise, order: int) -> tuple[float, ...]:
+    # Cumulants 0..order of a family that states its raw moments.
+    return tuple(cumulants_from_moments([noise.raw_moment(r) for r in range(order + 1)]))
 
 
 PRESETS: dict[str, Noise] = {

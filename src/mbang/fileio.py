@@ -52,7 +52,7 @@ def read_dataset_csv(path) -> Dataset:
                     rows.append([float(x) for x in fields[1:]])
                 except ValueError as exc:
                     raise SchemaError(f"{path}:{line_no}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read dataset {path}: {exc}") from exc
     if not rows:
         raise SchemaError(f"{path}: dataset file is empty")
@@ -160,7 +160,7 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 

@@ -454,7 +454,30 @@ BAD_INPUTS = [
                                         "--indices", "{indices_above_p}", "--out", "{tmp}/t.json"], 3),
     ("cumulants-indices-short-list", ["cumulants", "--data", "{data}", "--order", "3",
                                      "--indices", "{indices_short}", "--out", "{tmp}/t.json"], 3),
+    ("discover-non-utf8-data", ["discover", "--data", "{non_utf8_csv}", "--oracle-spec", "{spec}",
+                                "--out", "{tmp}/g.json"], 3),
+    ("cumulants-non-utf8-data", ["cumulants", "--data", "{non_utf8_csv}", "--order", "3",
+                                 "--out", "{tmp}/t.json"], 3),
+    ("graph-non-utf8", ["graph-tools", "info", "--graph", "{non_utf8_json}"], 3),
+    ("spec-non-utf8", ["simulate", "--spec", "{non_utf8_json}", "--n", "5", "--seed", "1",
+                       "--out", "{tmp}/x.csv"], 3),
+    ("graph-nested-too-deep", ["graph-tools", "info", "--graph", "{deep_json}"], 3),
+    ("config-file-nested-too-deep", ["benchmark", "--config", "{deep_json}"], 3),
+    ("graph-p-with-5001-digits", ["graph-tools", "info", "--graph", "{long_int_json}"], 3),
+    # 10**15 float64 samples per row is petabytes, past any 47-bit address
+    # space, so the allocation fails before it touches memory.
+    ("simulate-unallocatable-n", ["simulate", "--spec", "{spec}", "--n", str(10**15), "--seed", "1",
+                                  "--out", "{tmp}/x.csv"], 4),
+    ("benchmark-unallocatable-n", ["benchmark", "--trials", "1", "--n", str(10**15)], 4),
 ]
+
+# Files that are not readable JSON or CSV text.
+RAW_FILES = {
+    "non_utf8_csv": b"1,0.5,\xff\n2,0.1,0.2\n",
+    "non_utf8_json": b'{"p": 3, "directed": [], "multi": [\xff]}',
+    "deep_json": b"[" * 100_000,
+    "long_int_json": b'{"p": 1' + b"0" * 5000 + b"}",
+}
 
 # Benchmark config files whose fields have the wrong type; each must exit 3.
 BAD_CONFIGS = {
@@ -484,6 +507,14 @@ def _edited(doc, path, value):
         parent = parent[key]
     parent[path[-1]] = value
     return doc
+
+
+def _exit_code(argv):
+    """main's exit code, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.mark.parametrize("argv, code", [case[1:] for case in BAD_INPUTS],
@@ -529,15 +560,14 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
     ):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    for name, blob in RAW_FILES.items():
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_bytes(blob)
     files["graph"] = str(tmp_path / "g.json")
     save_graph(showcase_mixed(), files["graph"])
     files["data"] = str(tmp_path / "d.csv")
     write_dataset_csv(simulate(showcase_spec(), 50, seed=1), files["data"])
-    try:
-        rc = main([arg.format(**files) for arg in argv])
-    except SystemExit as exc:
-        rc = exc.code
-    assert rc == code
+    assert _exit_code([arg.format(**files) for arg in argv]) == code
 
 
 # Seeded mutations of the shipped sample files: one value becomes one of
@@ -583,33 +613,46 @@ def _is_declared_type(value, declared: str) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+STAGE_SAMPLE = SAMPLES / "external_stage_example.json"
+
+
+def _write_stage_dataset(path):
+    """A small dataset CSV with one row per vertex of the stage sample."""
+    from mbang import Dataset
+
+    p = json.loads(STAGE_SAMPLE.read_text())["p"]
+    write_dataset_csv(Dataset(np.random.default_rng(0).exponential(size=(p, 300))), path)
+
+
+def _reader_argv(name, target, tmp_path):
+    """The subcommand that reads ``target``, a copy of sample ``name`` or of
+    the stage sample's dataset CSV; it writes tmp_path/out.json."""
+    out = str(tmp_path / "out.json")
+    if name == "bench_config.json":
+        return ["benchmark", "--config", str(target), "--trials", "1", "--n", "200",
+                "--out-json", out]
+    if name == "dataset.csv":
+        return ["discover", "--data", str(target), "--stage", str(STAGE_SAMPLE), "--out", out]
+    if name == STAGE_SAMPLE.name:
+        _write_stage_dataset(tmp_path / "d.csv")
+        return ["discover", "--data", str(tmp_path / "d.csv"), "--stage", str(target), "--out", out]
+    return ["simulate", "--spec", str(target), "--n", "50", "--seed", "1", "--out", out]
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SAMPLES.glob("*.json")))
 def test_mutated_sample_files_exit_cleanly(name, tmp_path):
-    from mbang import Dataset
     from mbang.bench import TrialConfig
 
     original = json.loads((SAMPLES / name).read_text())
     target = tmp_path / name
     out = tmp_path / "out.json"
-    if name == "bench_config.json":
-        argv = ["benchmark", "--config", str(target), "--trials", "1", "--n", "200",
-                "--out-json", str(out)]
-    elif name == "external_stage_example.json":
-        data = tmp_path / "d.csv"
-        rng = np.random.default_rng(0)
-        write_dataset_csv(Dataset(rng.exponential(size=(original["p"], 300))), data)
-        argv = ["discover", "--data", str(data), "--stage", str(target), "--out", str(out)]
-    else:
-        argv = ["simulate", "--spec", str(target), "--n", "50", "--seed", "1", "--out", str(out)]
+    argv = _reader_argv(name, target, tmp_path)
     rng = np.random.default_rng(list(name.encode()))
     codes = set()
     for _ in range(MUTATIONS_PER_FILE):
         doc = _mutate(original, rng)
         target.write_text(json.dumps(doc))
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
+        rc = _exit_code(argv)
         assert rc in (0, 2, 3, 4), (doc, rc)
         codes.add(rc)
         if rc == 0 and name == "bench_config.json":
@@ -617,3 +660,41 @@ def test_mutated_sample_files_exit_cleanly(name, tmp_path):
             for field in dataclasses.fields(TrialConfig):
                 assert _is_declared_type(config[field.name], field.type), (doc, field.name)
     assert codes - {0}, "no mutation was refused"
+
+
+# Seeded byte-level mutations of the same files and of the dataset CSV the
+# stage sample runs on: one byte becomes 0xff (never valid UTF-8), the file is
+# truncated, or one opening bracket is repeated deep past the parser's
+# recursion limit (a random byte when the file has no bracket).
+BYTE_MUTATIONS_PER_FILE = 50
+NEST_DEPTH = 100_000
+
+
+def _mutate_bytes(blob: bytes, rng) -> bytes:
+    at = int(rng.integers(len(blob)))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return blob[:at] + b"\xff" + blob[at + 1:]
+    if kind == 1:
+        return blob[:at]
+    brackets = [i for i, c in enumerate(blob) if c in b"[{"]
+    if brackets:
+        at = brackets[int(rng.integers(len(brackets)))]
+    return blob[:at] + blob[at:at + 1] * NEST_DEPTH + blob[at + 1:]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SAMPLES.glob("*.json")) + ["dataset.csv"])
+def test_byte_mutated_files_exit_cleanly(name, tmp_path):
+    target = tmp_path / name
+    argv = _reader_argv(name, target, tmp_path)
+    source = SAMPLES / name
+    if name == "dataset.csv":
+        source = tmp_path / "d.csv"
+        _write_stage_dataset(source)
+    original = source.read_bytes()
+    rng = np.random.default_rng(list(name.encode()))
+    for _ in range(BYTE_MUTATIONS_PER_FILE):
+        blob = _mutate_bytes(original, rng)
+        target.write_bytes(blob)
+        rc = _exit_code(argv)
+        assert rc in (0, 2, 3, 4), (blob[:200], rc)

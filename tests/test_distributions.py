@@ -99,6 +99,15 @@ def test_uniform_moments_closed_form():
         assert noise.raw_moment(r) == pytest.approx(5.0**r / (r + 1), rel=1e-12)
     for r in (1, 3, 5, 7):
         assert noise.raw_moment(r) == pytest.approx(0.0, abs=1e-9)
+    # kappa_k = B_k w^k / k for even k, with w = b - a and B_k the Bernoulli numbers
+    bernoulli = {2: 1 / 6, 4: -1 / 30, 6: 1 / 42, 8: -1 / 30, 10: 5 / 66}
+    for a, b in ((-5.0, 5.0), (-1.0, 3.0), (0.2, 0.7)):
+        noise = Noise("uniform", (a, b))
+        for k in range(2, 11):
+            if k % 2:
+                assert noise.cumulant(k) == 0.0
+            else:
+                assert noise.cumulant(k) == pytest.approx(bernoulli[k] * (b - a) ** k / k, rel=1e-14)
 
 
 @pytest.mark.parametrize("tag", sorted(PRESETS))
@@ -115,6 +124,13 @@ def test_sampling_is_reproducible():
     a = noise.sample(np.random.default_rng(9), 100)
     b = noise.sample(np.random.default_rng(9), 100)
     assert np.array_equal(a, b)
+    # chi2 is drawn as gamma(df/2, 1/2); numpy's chisquare is the same stream
+    for df in (0.7, 2.0, 3.5):
+        a = Noise("chi2", (df,)).sample(np.random.default_rng(9), 1000)
+        assert np.array_equal(a, np.random.default_rng(9).chisquare(df, 1000) - df)
+    rate = PRESETS["exp1"].params[0]
+    a = PRESETS["exp1"].sample(np.random.default_rng(9), 1000)
+    assert np.array_equal(a, np.random.default_rng(9).exponential(1 / rate, 1000) - 1 / rate)
 
 
 def test_bad_parameters_rejected():
