@@ -261,7 +261,7 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except MemoryError:
-        print("numerical error: out of memory; try a smaller --n", file=sys.stderr)
+        print("numerical error: out of memory", file=sys.stderr)
         return 4
     except OSError as exc:
         # Reads report OSError as SchemaError, so what reaches here is a write.

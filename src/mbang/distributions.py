@@ -134,10 +134,6 @@ class Noise:
         if d == "t":
             df = p[0]
             return rng.standard_t(df, size=n) / math.sqrt(df / (df - 2.0))
-        if d == "exponential":
-            # rng.gamma(1, 1/rate) draws the same bits, but more slowly.
-            rate = p[0]
-            return rng.exponential(1.0 / rate, size=n) - 1.0 / rate
         shape, rate = self._gamma_shape_rate()
         return rng.gamma(shape, 1.0 / rate, size=n) - shape / rate
 

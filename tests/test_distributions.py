@@ -124,7 +124,8 @@ def test_sampling_is_reproducible():
     a = noise.sample(np.random.default_rng(9), 100)
     b = noise.sample(np.random.default_rng(9), 100)
     assert np.array_equal(a, b)
-    # chi2 is drawn as gamma(df/2, 1/2); numpy's chisquare is the same stream
+    # chi2 and exponential are drawn as gamma; numpy's chisquare and exponential
+    # are the same streams
     for df in (0.7, 2.0, 3.5):
         a = Noise("chi2", (df,)).sample(np.random.default_rng(9), 1000)
         assert np.array_equal(a, np.random.default_rng(9).chisquare(df, 1000) - df)
