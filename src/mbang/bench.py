@@ -79,25 +79,18 @@ class TrialOutcome:
     error: str | None = None
 
 
-def score(truth: MixedGraph, recovered: MixedGraph, subdivision_mode: bool = False):
+def score(truth: MixedGraph, recovered: MixedGraph):
     """Edge-exact scoring: (edge_correct, edge_total, graph_exact).
 
     A ground-truth multidirected edge counts only when the identical vertex
     set is recovered; ``graph_exact`` needs both edge sets to match exactly.
-    ``subdivision_mode`` compares bidirected subdivisions pairwise instead,
-    the right baseline for pair-level first stages.
+    Pair-level scoring is ``score`` on both bidirected subdivisions.
     """
     if truth.p != recovered.p:
         raise ValidationError(f"vertex sets differ: {truth.p} vs {recovered.p}")
-    if subdivision_mode:
-        t = bidirected_subdivision(truth).multi
-        r = bidirected_subdivision(recovered).multi
-    else:
-        t = truth.multi
-        r = recovered.multi
-    correct = len(t & r)
+    t, r = truth.multi, recovered.multi
     exact = truth.directed == recovered.directed and t == r
-    return correct, len(t), exact
+    return len(t & r), len(t), exact
 
 
 def _run_trial(cfg: TrialConfig, trial: int) -> TrialOutcome:
@@ -109,6 +102,7 @@ def _run_trial(cfg: TrialConfig, trial: int) -> TrialOutcome:
         seed=[cfg.seed, trial, 0],
         hide_prob=cfg.hide_prob,
     )
+    pairs = bidirected_subdivision(truth)
     start = time.perf_counter()
     try:
         Y = simulate(spec, cfg.n, seed=[cfg.seed, trial, 1])
@@ -118,19 +112,19 @@ def _run_trial(cfg: TrialConfig, trial: int) -> TrialOutcome:
             stage = load_first_stage(
                 os.path.join(cfg.stage, f"trial_{trial:04d}.json")
             )
-        stage_exact = stage.graph == bidirected_subdivision(truth)
+        stage_exact = stage.graph == pairs
         result = run_mbang(Y, stage, cfg.discovery_config())
     except MbangError as exc:  # trial-level failures are recorded, not fatal
         wall = (time.perf_counter() - start) * 1000.0
         edge_total = len(truth.multi)
-        sub_total = len(bidirected_subdivision(truth).multi)
+        sub_total = len(pairs.multi)
         return TrialOutcome(
             trial, truth, None, 0, edge_total, False, False, 0, sub_total, wall,
             error=f"{type(exc).__name__}: {exc}",
         )
     wall = (time.perf_counter() - start) * 1000.0
     edge_correct, edge_total, graph_exact = score(truth, result.graph)
-    sub_correct, sub_total, _ = score(truth, result.graph, subdivision_mode=True)
+    sub_correct, sub_total, _ = score(pairs, bidirected_subdivision(result.graph))
     return TrialOutcome(
         trial, truth, result.graph, edge_correct, edge_total, graph_exact,
         stage_exact, sub_correct, sub_total, wall,
@@ -152,7 +146,6 @@ def run_benchmark(cfg: TrialConfig):
             outcomes = list(pool.map(_run_trial, [cfg] * len(indices), indices))
     else:
         outcomes = [_run_trial(cfg, t) for t in indices]
-    outcomes.sort(key=lambda o: o.trial)
     return outcomes, aggregate_outcomes(cfg, outcomes)
 
 

@@ -52,6 +52,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_discover(args) -> int:
     data = fileio.read_dataset(args.data)
     if args.stage:
+        if args.stage_perturbation:
+            raise UsageError("--stage-perturbation needs --oracle-spec")
         stage = load_first_stage(args.stage)
     else:
         spec = fileio.load_spec(args.oracle_spec)

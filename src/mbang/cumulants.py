@@ -30,15 +30,6 @@ from .sem import Dataset, LsemSpec, extended_total_effects
 MAX_ORDER = 8
 
 
-def _matrix(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.values
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError("expected a p x n matrix")
-    return arr
-
-
 @dataclass
 class MomentTable:
     """Symmetric moment lookup keyed by sorted multi-index (1-based labels)."""
@@ -53,17 +44,14 @@ class MomentTable:
             raise ValidationError(f"moment for index {key} missing from table") from None
 
 
-def sample_moments(data, k_max: int) -> MomentTable:
+def sample_moments(data: Dataset, k_max: int) -> MomentTable:
     """Empirical moments E[prod Z_j] for every sorted multi-index up to order k_max."""
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    mat = _matrix(data)
-    p, n = mat.shape
-    if n < 1:
-        raise ValidationError("dataset is empty")
+    mat = data.values
     values: dict[tuple[int, ...], float] = {}
     for k in range(1, k_max + 1):
-        for idx in itertools.combinations_with_replacement(range(1, p + 1), k):
+        for idx in itertools.combinations_with_replacement(range(1, data.p + 1), k):
             prod = mat[idx[0] - 1].copy()
             for v in idx[1:]:
                 prod *= mat[v - 1]
@@ -128,11 +116,10 @@ def _tensor(make_entry, p: int, k: int) -> CumulantTensor:
     return CumulantTensor(k, p, values)
 
 
-def sample_cumulant_tensor(data, k: int) -> CumulantTensor:
+def sample_cumulant_tensor(data: Dataset, k: int) -> CumulantTensor:
     """Plug-in cumulant tensor of centered data (center rows before calling)."""
-    mat = _matrix(data)
     return _tensor(
-        lambda: functools.partial(cumulant_from_moments, sample_moments(mat, k)), mat.shape[0], k
+        lambda: functools.partial(cumulant_from_moments, sample_moments(data, k)), data.p, k
     )
 
 

@@ -119,8 +119,8 @@ class SampleCumulants:
     ``sample_cumulant_tensor``, the caller centers the rows.
     """
 
-    def __init__(self, data):
-        self._rows = data.values if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    def __init__(self, data: Dataset):
+        self._rows = data.values
         self._moments: dict[tuple[int, ...], float] = {}
         self._entries: dict[tuple[int, ...], float] = {}
 

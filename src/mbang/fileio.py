@@ -5,7 +5,7 @@ vertex label, the rest are the samples.  Floats are written with shortest
 round-trip repr, so a write/read cycle is lossless and seeded runs are
 byte-identical.
 
-Binary layout: a 16-byte header (magic b"MBD1", uint32 p, uint64 n, all
+Binary layout: a 16-byte header (magic b"MBD1", uint32 p >= 1, uint64 n, all
 little-endian) followed by the p*n float64 matrix, row-major little-endian.
 """
 
@@ -82,6 +82,8 @@ def read_dataset_bin(path) -> Dataset:
             magic, p, n = _HEADER.unpack(header)
             if magic != MAGIC:
                 raise SchemaError(f"{path}: bad magic {magic!r}")
+            if p == 0:
+                raise SchemaError(f"{path}: dataset file is empty")
             payload = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read dataset {path}: {exc}") from exc

@@ -205,29 +205,19 @@ def find_k_trek(g: MixedGraph, t) -> TrekWitness | None:
     either all start at one common source vertex or start at (not necessarily
     distinct) members of a single multidirected edge.  Length-0 paths count:
     a vertex reaches itself, which is what lets the members of a multidirected
-    edge form treks among themselves.
+    edge form treks among themselves.  Single vertices are tried before
+    multidirected edges, each in sorted order; a directed cycle raises
+    ValidationError.
     """
     tup = check_vertex_tuple(g.p, t)
-    if not is_acyclic(g):
-        raise ValidationError("k-trek search requires an acyclic graph")
     anc = [g.ancestor_map[v] for v in tup]
-    common = frozenset.intersection(*anc)
-    if common:
-        src = min(common)
-        paths = tuple(_directed_path(g, src, v) for v in tup)
-        return TrekWitness(sources=(src,) * len(tup), paths=paths, hidden_edge=None)
-    for h in sorted_multi(g.multi):
-        hs = frozenset(h)
-        sources = []
-        for a in anc:
-            hit = a & hs
-            if not hit:
-                sources = []
-                break
-            sources.append(min(hit))
-        if sources:
+    singletons = [frozenset((v,)) for v in range(1, g.p + 1)]
+    for group in singletons + [frozenset(h) for h in sorted_multi(g.multi)]:
+        hits = [a & group for a in anc]
+        if all(hits):
+            sources = tuple(min(hit) for hit in hits)
             paths = tuple(_directed_path(g, s, v) for s, v in zip(sources, tup))
-            return TrekWitness(sources=tuple(sources), paths=paths, hidden_edge=hs)
+            return TrekWitness(sources, paths, group if len(group) > 1 else None)
     return None
 
 

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from mbang import MixedGraph, ValidationError, bench, score
+from mbang import MixedGraph, ValidationError, bench, bidirected_subdivision, score
 from mbang.bench import (
     CSV_FIELDS,
     TrialConfig,
@@ -26,13 +26,13 @@ class TestScore:
         truth = MixedGraph(4, frozenset(), [{2, 3, 4}])
         recovered = MixedGraph(4, frozenset(), [{2, 3}, {3, 4}, {2, 4}])
         assert score(truth, recovered) == (0, 1, False)
-        # at pair level the two graphs coincide, which is the point of the mode
-        assert score(truth, recovered, subdivision_mode=True) == (3, 3, True)
+        # at pair level the two graphs coincide
+        assert score(bidirected_subdivision(truth), bidirected_subdivision(recovered)) == (3, 3, True)
 
     def test_identical_graphs_get_full_marks(self):
         g = MixedGraph(5, {(1, 2)}, [{2, 3, 4}])
         assert score(g, g) == (1, 1, True)
-        assert score(g, g, subdivision_mode=True) == (3, 3, True)
+        assert score(bidirected_subdivision(g), bidirected_subdivision(g)) == (3, 3, True)
 
     def test_partial_recovery(self):
         truth = MixedGraph(5, frozenset(), [{1, 2}, {3, 4, 5}])

@@ -7,7 +7,7 @@ import pytest
 
 from mbang import simulate
 from mbang.cli import main
-from mbang.fileio import read_dataset_csv, save_graph, save_spec, write_dataset_csv
+from mbang.fileio import read_dataset_csv, save_graph, save_spec, write_dataset_bin, write_dataset_csv
 
 from helpers import (
     case1_graph,
@@ -436,6 +436,9 @@ BAD_INPUTS = [
                                       "--out", "{tmp}/g.json"], 3),
     ("stage-with-bidirected-loop", ["discover", "--data", "{data}", "--stage", "{loop_stage}",
                                     "--out", "{tmp}/g.json"], 3),
+    ("discover-stage-with-perturbation", ["discover", "--data", "{data}", "--stage", "{plain_stage}",
+                                          "--stage-perturbation", "0.5", "--seed", "1",
+                                          "--out", "{tmp}/g.json"], 2),
     ("discover-perturbation-without-seed", ["discover", "--data", "{data}", "--oracle-spec", "{spec}",
                                             "--stage-perturbation", "0.01", "--out", "{tmp}/g.json"], 2),
     ("benchmark-nan-tolerance", ["benchmark", "--trials", "1", "--tolerance", "nan"], 3),
@@ -461,6 +464,10 @@ BAD_INPUTS = [
     ("graph-non-utf8", ["graph-tools", "info", "--graph", "{non_utf8_json}"], 3),
     ("spec-non-utf8", ["simulate", "--spec", "{non_utf8_json}", "--n", "5", "--seed", "1",
                        "--out", "{tmp}/x.csv"], 3),
+    ("cumulants-bin-zero-p-huge-n", ["cumulants", "--data", "{tmp}/zero_p_huge_n.bin", "--order", "3",
+                                     "--out", "{tmp}/t.json"], 3),
+    ("cumulants-bin-zero-p", ["cumulants", "--data", "{tmp}/zero_p.bin", "--order", "3",
+                              "--out", "{tmp}/t.json"], 3),
     ("graph-nested-too-deep", ["graph-tools", "info", "--graph", "{deep_json}"], 3),
     ("config-file-nested-too-deep", ["benchmark", "--config", "{deep_json}"], 3),
     ("graph-p-with-5001-digits", ["graph-tools", "info", "--graph", "{long_int_json}"], 3),
@@ -471,12 +478,15 @@ BAD_INPUTS = [
     ("benchmark-unallocatable-n", ["benchmark", "--trials", "1", "--n", str(10**15)], 4),
 ]
 
-# Files that are not readable JSON or CSV text.
+# Files that are not readable JSON, CSV text or binary datasets; a name with
+# a dot is passed as {tmp}/name, since format fields cannot hold one.
 RAW_FILES = {
     "non_utf8_csv": b"1,0.5,\xff\n2,0.1,0.2\n",
     "non_utf8_json": b'{"p": 3, "directed": [], "multi": [\xff]}',
     "deep_json": b"[" * 100_000,
     "long_int_json": b'{"p": 1' + b"0" * 5000 + b"}",
+    "zero_p_huge_n.bin": b"MBD1" + (0).to_bytes(4, "little") + (2**64 - 1).to_bytes(8, "little"),
+    "zero_p.bin": b"MBD1" + (0).to_bytes(4, "little") + (5).to_bytes(8, "little"),
 }
 
 # Benchmark config files whose fields have the wrong type; each must exit 3.
@@ -538,6 +548,7 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
         ("string_effect_stage", _edited(stage_doc, ("B", 0, 1), "0.5")),
         ("huge_effect_stage", _edited(stage_doc, ("B", 0, 1), 1e200)),
         ("max_effect_stage", _edited(stage_doc, ("B", 0, 1), 1e308)),
+        ("plain_stage", stage_doc),
         ("bow_stage", {**stage_doc, "bidirected": [[1, 2]]}),
         ("triple_stage", {**stage_doc, "bidirected": [[1, 2, 3]]}),
         ("loop_stage", {**stage_doc, "bidirected": [[1, 1]]}),
@@ -617,21 +628,23 @@ STAGE_SAMPLE = SAMPLES / "external_stage_example.json"
 
 
 def _write_stage_dataset(path):
-    """A small dataset CSV with one row per vertex of the stage sample."""
+    """A small dataset, CSV or .bin by the suffix of ``path``, with one row per
+    vertex of the stage sample."""
     from mbang import Dataset
 
     p = json.loads(STAGE_SAMPLE.read_text())["p"]
-    write_dataset_csv(Dataset(np.random.default_rng(0).exponential(size=(p, 300))), path)
+    write = write_dataset_bin if str(path).endswith(".bin") else write_dataset_csv
+    write(Dataset(np.random.default_rng(0).exponential(size=(p, 300))), path)
 
 
 def _reader_argv(name, target, tmp_path):
     """The subcommand that reads ``target``, a copy of sample ``name`` or of
-    the stage sample's dataset CSV; it writes tmp_path/out.json."""
+    the stage sample's dataset (CSV or .bin); it writes tmp_path/out.json."""
     out = str(tmp_path / "out.json")
     if name == "bench_config.json":
         return ["benchmark", "--config", str(target), "--trials", "1", "--n", "200",
                 "--out-json", out]
-    if name == "dataset.csv":
+    if name in ("dataset.csv", "dataset.bin"):
         return ["discover", "--data", str(target), "--stage", str(STAGE_SAMPLE), "--out", out]
     if name == STAGE_SAMPLE.name:
         _write_stage_dataset(tmp_path / "d.csv")
@@ -662,10 +675,10 @@ def test_mutated_sample_files_exit_cleanly(name, tmp_path):
     assert codes - {0}, "no mutation was refused"
 
 
-# Seeded byte-level mutations of the same files and of the dataset CSV the
-# stage sample runs on: one byte becomes 0xff (never valid UTF-8), the file is
-# truncated, or one opening bracket is repeated deep past the parser's
-# recursion limit (a random byte when the file has no bracket).
+# Seeded byte-level mutations of the same files and of the dataset the stage
+# sample runs on, as CSV and as .bin: one byte becomes 0xff (never valid
+# UTF-8), the file is truncated, or one opening bracket is repeated deep past
+# the parser's recursion limit (a random byte when the file has no bracket).
 BYTE_MUTATIONS_PER_FILE = 50
 NEST_DEPTH = 100_000
 
@@ -683,13 +696,14 @@ def _mutate_bytes(blob: bytes, rng) -> bytes:
     return blob[:at] + blob[at:at + 1] * NEST_DEPTH + blob[at + 1:]
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in SAMPLES.glob("*.json")) + ["dataset.csv"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SAMPLES.glob("*.json"))
+                         + ["dataset.csv", "dataset.bin"])
 def test_byte_mutated_files_exit_cleanly(name, tmp_path):
     target = tmp_path / name
     argv = _reader_argv(name, target, tmp_path)
     source = SAMPLES / name
-    if name == "dataset.csv":
-        source = tmp_path / "d.csv"
+    if name.startswith("dataset."):
+        source = tmp_path / ("d" + target.suffix)
         _write_stage_dataset(source)
     original = source.read_bytes()
     rng = np.random.default_rng(list(name.encode()))

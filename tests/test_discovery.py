@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mbang import (
+    Dataset,
     DiscoveryConfig,
     FirstStageResult,
     MixedGraph,
@@ -296,7 +297,7 @@ class TestFindMultidirected:
         # 8 with a failing primary at the top would land here through the
         # relaxed gate
         rng = np.random.default_rng(0)
-        sample = SampleCumulants(rng.normal(size=(9, 50)))
+        sample = SampleCumulants(Dataset(rng.normal(size=(9, 50))))
         with pytest.raises(ValidationError, match="order"):
             sample.entry((1, 2, 3, 4, 5, 6, 7, 8, 9))
         population = PopulationCumulants.from_spec(case2_spec())
@@ -311,7 +312,7 @@ class TestFindMultidirected:
         X = rng.exponential(size=2000) + 0.1 * rng.normal(size=(9, 2000))
         X -= X.mean(axis=1, keepdims=True)
         bg = MixedGraph(9, multi=frozenset(map(frozenset, itertools.combinations(range(1, 10), 2))))
-        provider = SampleCumulants(X)
+        provider = SampleCumulants(Dataset(X))
         ref = weakref.ref(provider)
         gc.disable()
         try:
