@@ -52,14 +52,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_discover(args) -> int:
     data = fileio.read_dataset(args.data)
     if args.stage:
-        if args.stage_perturbation:
-            raise UsageError("--stage-perturbation needs --oracle-spec")
         stage = load_first_stage(args.stage)
     else:
-        spec = fileio.load_spec(args.oracle_spec)
-        if args.stage_perturbation and args.seed is None:
-            raise UsageError("--stage-perturbation needs --seed")
-        stage = oracle_first_stage(spec, perturbation=args.stage_perturbation, seed=args.seed)
+        stage = oracle_first_stage(fileio.load_spec(args.oracle_spec))
     if args.tolerance == 0:
         print(
             "warning: tolerance 0 treats every sample cumulant as nonzero; "
@@ -205,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     stage.add_argument("--oracle-spec", dest="oracle_spec", help="ground-truth spec JSON for the oracle stage")
     disc.add_argument("--tolerance", type=float, default=0.05)
     disc.add_argument("--strict", action="store_true", help="disable the relaxed repeat-index test")
-    disc.add_argument("--stage-perturbation", type=float, default=0.0)
-    disc.add_argument("--seed", type=nonnegative_int, default=None)
     disc.add_argument("--out", required=True)
     disc.set_defaults(func=_cmd_discover)
 

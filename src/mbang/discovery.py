@@ -67,21 +67,10 @@ class FirstStageResult:
         object.__setattr__(self, "B_hat", effects_matrix(self.B_hat, g.p, g.directed, "B_hat"))
 
 
-def oracle_first_stage(spec: LsemSpec, perturbation: float = 0.0, seed=None) -> FirstStageResult:
-    """Ground-truth stand-in for the external first stage.
-
-    Returns the true effects matrix (optionally with additive noise of the
-    given magnitude on supported entries) and the bidirected subdivision of
-    the true multidirected edges.  The noise range, 2 * perturbation, must be finite.
-    """
-    if not (is_finite_real(perturbation) and perturbation >= 0 and is_finite_real(2 * perturbation)):
-        raise ValidationError(f"stage perturbation must be >= 0 with a finite range, got {perturbation!r}")
-    B_hat = spec.B.copy()
-    if perturbation:
-        rng = np.random.default_rng(seed)
-        for i, j in sorted(spec.graph.directed):
-            B_hat[i - 1, j - 1] += rng.uniform(-perturbation, perturbation)
-    return FirstStageResult(B_hat, bidirected_subdivision(spec.graph))
+def oracle_first_stage(spec: LsemSpec) -> FirstStageResult:
+    """Ground-truth stand-in for the external first stage: the true effects
+    matrix and the bidirected subdivision of the true multidirected edges."""
+    return FirstStageResult(spec.B.copy(), bidirected_subdivision(spec.graph))
 
 
 def first_stage_from_json_dict(obj) -> FirstStageResult:

@@ -167,23 +167,25 @@ def standardize_rows(data: Dataset) -> Dataset:
     zero = np.flatnonzero(sd == 0.0)
     if zero.size:
         raise NumericalError(f"zero-variance row for vertex {zero[0] + 1}")
-    _refuse_non_finite(sd, "standard deviation")
+    bad = np.flatnonzero(~np.isfinite(sd))
+    if bad.size:
+        raise NumericalError(f"row standard deviation for vertex {bad[0] + 1} is not finite")
     return Dataset(data.values / sd[:, None])
 
 
 def center_rows(data: Dataset) -> Dataset:
-    """Subtract each row's empirical mean."""
+    """Subtract each row's empirical mean.
+
+    A finite row can still overflow, in its mean or in its values minus the
+    mean (``1.7e308`` beside four ``-0.675e308``): NumericalError.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = data.values.mean(axis=1, keepdims=True)
-    _refuse_non_finite(mean[:, 0], "mean")
-    return Dataset(data.values - mean)
-
-
-def _refuse_non_finite(stat: np.ndarray, name: str):
-    """NumericalError naming the first vertex whose row statistic overflowed."""
-    bad = np.flatnonzero(~np.isfinite(stat))
-    if bad.size:
-        raise NumericalError(f"row {name} for vertex {bad[0] + 1} is not finite")
+        centered = data.values - data.values.mean(axis=1, keepdims=True)
+    try:
+        return Dataset(centered)
+    except ValidationError as exc:
+        bad = np.flatnonzero(~np.isfinite(centered).all(axis=1))
+        raise NumericalError(f"centering overflowed for vertex {bad[0] + 1}") from exc
 
 
 def marginalize(dag: MixedGraph, hidden) -> tuple[MixedGraph, dict[int, int]]:

@@ -26,6 +26,7 @@ from mbang import (
     LsemSpec,
     MixedGraph,
     Noise,
+    has_k_trek,
     is_bow_free,
 )
 from mbang.cumulants import MAX_ORDER, MomentTable
@@ -204,6 +205,32 @@ def exhaustive_maximal_cliques(bg: MixedGraph) -> list[frozenset[int]]:
         c for c in cliques if not any(c < other for other in cliques)
     ]
     return sorted(set(maximal), key=lambda c: tuple(sorted(c)))
+
+
+def edge_families(p: int, max_edges: int) -> list[tuple[frozenset[int], ...]]:
+    """Every nonempty family of at most ``max_edges`` multidirected edges on
+    vertices 1..p in which no edge lies inside another."""
+    subsets = [
+        frozenset(c) for r in range(2, p + 1) for c in itertools.combinations(range(1, p + 1), r)
+    ]
+    return [
+        family
+        for m in range(1, max_edges + 1)
+        for family in itertools.combinations(subsets, m)
+        if not any(a < b or b < a for a, b in itertools.combinations(family, 2))
+    ]
+
+
+class StructuralCumulants:
+    """The zero pattern of a model's population cumulants without the model:
+    an entry is 1.0 when its distinct indices have a k-trek in ``graph``
+    (which has no directed edges, as after dedirection) and 0.0 otherwise."""
+
+    def __init__(self, graph: MixedGraph):
+        self.graph = graph
+
+    def entry(self, idx) -> float:
+        return 1.0 if has_k_trek(self.graph, sorted(set(idx))) else 0.0
 
 
 def oracle_total_effects(spec: LsemSpec):

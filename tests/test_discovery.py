@@ -53,13 +53,6 @@ class TestOracleFirstStage:
         assert stage.graph.directed == spec.graph.directed
         assert stage.graph.multi == bidirected_subdivision(spec.graph).multi
 
-    def test_perturbation_is_bounded(self):
-        spec = showcase_spec()
-        stage = oracle_first_stage(spec, perturbation=0.01, seed=3)
-        diff = np.abs(stage.B_hat - spec.B)
-        assert diff.max() <= 0.01
-        assert diff.max() > 0.0
-
     def test_result_rejects_off_support_entries(self):
         B = np.zeros((2, 2))
         B[0, 1] = 0.5

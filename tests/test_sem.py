@@ -10,6 +10,7 @@ from mbang import (
     MixedGraph,
     NumericalError,
     ValidationError,
+    center_rows,
     dedirect,
     is_acyclic,
     is_bow_free,
@@ -164,6 +165,13 @@ class TestStandardize:
     def test_zero_variance_row_raises(self):
         with pytest.raises(NumericalError):
             standardize_rows(Dataset(np.ones((1, 4))))
+
+
+class TestCenter:
+    def test_overflow_after_a_finite_mean_names_the_vertex(self):
+        row = [1.7e308, -0.675e308, -0.675e308, -0.675e308, -0.675e308]
+        with pytest.raises(NumericalError, match="vertex 2"):
+            center_rows(Dataset(np.array([[1.0] * 5, row])))
 
 
 class TestMarginalize:
