@@ -101,17 +101,17 @@ def load_first_stage(path) -> FirstStageResult:
 class SampleCumulants:
     """Lazily computed plug-in cumulants of a fixed data matrix.
 
-    Moments and cumulant entries are memoized per sorted index; the clique walk
-    only ever touches indices inside bidirected cliques, so nothing close to a
-    full high-order tensor is materialized.  The provider is its own moment
-    table: ``get`` serves ``cumulant_from_moments``.  As for
-    ``sample_cumulant_tensor``, the caller centers the rows.
+    Moments are memoized per sorted index; the clique walk only ever touches
+    indices inside bidirected cliques and asks each cumulant entry at most
+    once, so nothing close to a full high-order tensor is materialized.  The
+    provider is its own moment table: ``get`` serves
+    ``cumulant_from_moments``.  As for ``sample_cumulant_tensor``, the caller
+    centers the rows.
     """
 
     def __init__(self, data: Dataset):
         self._rows = data.values
         self._moments: dict[tuple[int, ...], float] = {}
-        self._entries: dict[tuple[int, ...], float] = {}
 
     def _moment(self, key: tuple[int, ...]) -> float:
         try:
@@ -128,13 +128,7 @@ class SampleCumulants:
         return self._moment(tuple(sorted(int(v) for v in idx)))
 
     def entry(self, idx) -> float:
-        key = tuple(sorted(int(v) for v in idx))
-        try:
-            return self._entries[key]
-        except KeyError:
-            value = cumulant_from_moments(self, key)
-            self._entries[key] = value
-            return value
+        return cumulant_from_moments(self, tuple(sorted(int(v) for v in idx)))
 
 
 def cumulant_test(provider, R, v: int, cfg: DiscoveryConfig):
@@ -175,49 +169,51 @@ def cumulant_test(provider, R, v: int, cfg: DiscoveryConfig):
     return False, None
 
 
+def _walk(provider, adj, cfg, reported, R, P, Q, chain):
+    # A module-level recursion, so that no cycle keeps the provider alive once
+    # the walk returns.  P and Q are fresh sets owned by this node.
+    if not P and not Q and len(R) >= 2:
+        reported.setdefault(frozenset(R), list(chain))
+    if any(P <= adj[q] for q in Q):
+        return
+    for v in sorted(P):
+        if adj[v]:
+            passed, evidence = cumulant_test(provider, R, v, cfg)
+            if passed:
+                _walk(provider, adj, cfg, reported, R + (v,), P & adj[v], Q & adj[v], chain + (evidence,))
+        P.discard(v)
+        Q.add(v)
+        if P <= adj[v]:
+            return
+
+
 def find_multidirected(provider, graph: MixedGraph, cfg: DiscoveryConfig | None = None):
     """Cumulant-gated Bron-Kerbosch over ``graph.adjacency``.
 
     Two vertices are adjacent when they share a multidirected edge, so a graph
     and its bidirected subdivision give the same walk.
 
-    Exactly the pivotless recursion: a node reports its clique R (when
+    The paper's pivotless recursion: a node reports its clique R (when
     |R| >= 2) only if both the candidate set P and the excluded set Q are
     empty on entry; each v in P with a nonempty neighborhood is
     recursed into only when :func:`cumulant_test` passes, and is then moved
     from P to Q whether or not it passed.  Iteration order over P is sorted,
     so results are deterministic.
 
+    A node returns early once some q in Q is adjacent to every vertex of P:
+    every descendant keeps q in Q and its P inside adj[q], so nothing below
+    can report.  The rule is tested for all of Q on entry and for each v as it
+    moves to Q.  It skips only subtrees that report nothing, so the reported
+    edges and their admission chains are those of the full recursion; a gate
+    query, and so an order refusal, is made only where the walk needs it.
+
     Returns (edges, diagnostics): the reported vertex sets, deduplicated, and
     one record per reported edge listing the cumulant entries that justified
     each admission along its path.
     """
     cfg = cfg or DiscoveryConfig()
-    adj = graph.adjacency
     reported: dict[frozenset[int], list[dict]] = {}
-
-    def walk(R: tuple[int, ...], P: set[int], Q: set[int], chain: tuple[dict, ...]):
-        if not P and not Q and len(R) >= 2:
-            reported.setdefault(frozenset(R), list(chain))
-            return
-        for v in sorted(P):
-            if adj[v]:
-                passed, evidence = cumulant_test(provider, R, v, cfg)
-                if passed:
-                    walk(R + (v,), P & adj[v], Q & adj[v], chain + (evidence,))
-            P = P - {v}
-            Q = Q | {v}
-
-    try:
-        walk((), set(range(1, graph.p + 1)), set(), ())
-    except BaseException:
-        # The closure refers to itself; after a refused order, clear it so the
-        # provider's data goes when the caller drops the exception, not at the
-        # next full collection.  A normal return leaves the cycle to the
-        # collector: freeing the data on every call made each following call
-        # regrow the heap and fault its pages in again.
-        del walk
-        raise
+    _walk(provider, graph.adjacency, cfg, reported, (), set(range(1, graph.p + 1)), set(), ())
     edges = set(reported)
     diagnostics = [
         {"edge": sorted(e), "source": "merged", "tests": reported[e]}

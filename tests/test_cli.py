@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from mbang import simulate
+from mbang import MixedGraph, simulate
 from mbang.cli import main
 from mbang.fileio import read_dataset_csv, save_graph, save_spec, write_dataset_bin, write_dataset_csv
 
@@ -252,6 +252,15 @@ class TestGraphTools:
         out = capsys.readouterr().out
         assert "acyclic: True" in out and "bow-free: True" in out
         assert "{2,3,4}" in out
+
+    def test_info_lists_one_wide_edge_as_one_clique(self, tmp_path, capsys):
+        # A walk that enters subtrees unable to report doubles its work with
+        # each member of such an edge.
+        path = tmp_path / "g.json"
+        save_graph(MixedGraph(20, multi=[frozenset(range(1, 21))]), path)
+        assert main(["graph-tools", "info", "--graph", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "subdivision cliques: {" + ",".join(map(str, range(1, 21))) + "}\n" in out
 
     def test_dot_export(self, tmp_path):
         path = tmp_path / "g.json"

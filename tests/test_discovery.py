@@ -26,6 +26,7 @@ from mbang import (
     run_mbang_population,
     simulate,
 )
+import mbang.discovery as discovery
 from mbang.discovery import EXACT_EPS, first_stage_from_json_dict
 
 from helpers import (
@@ -43,6 +44,28 @@ from helpers import (
 
 def edges(result):
     return {tuple(sorted(h)) for h in result.graph.multi}
+
+
+def algorithm2(provider, bg, cfg):
+    """The paper's Algorithm 2 as written, with no early return: each reported
+    edge mapped to the gate evidence along the first path that reported it."""
+    adj = bg.adjacency
+    out = {}
+
+    def alg2(R, P, Q, chain):
+        if not P and not Q and len(R) >= 2:
+            out.setdefault(frozenset(R), list(chain))
+        P, Q = set(P), set(Q)
+        for v in sorted(P):
+            if adj[v]:
+                ok, evidence = cumulant_test(provider, R, v, cfg)
+                if ok:
+                    alg2(R + (v,), P & adj[v], Q & adj[v], chain + (evidence,))
+            P.discard(v)
+            Q.add(v)
+
+    alg2((), set(range(1, bg.p + 1)), set(), ())
+    return out
 
 
 class TestOracleFirstStage:
@@ -257,6 +280,61 @@ class TestFindMultidirected:
                 got, _ = find_multidirected(provider, bg, cfg)
                 assert got == reference(provider, bg, cfg)
 
+    def test_early_return_keeps_algorithm2_edges_and_chains(self):
+        # Dense graphs, where whole subtrees are dead, under pseudo-random
+        # gates: the walk must report what Algorithm 2 reports, through the
+        # same admissions, while asking fewer entries.
+        import hashlib
+
+        class HashGate:
+            def __init__(self, salt):
+                self.salt = salt
+                self.calls = 0
+
+            def entry(self, idx):
+                self.calls += 1
+                key = f"{self.salt}:{sorted(idx)}".encode()
+                h = int.from_bytes(hashlib.sha256(key).digest()[:4], "big")
+                return (h / 2**32) * 0.2 - 0.1
+
+        rng = np.random.default_rng(83)
+        asked = Counter()
+        for salt in range(200):
+            p = int(rng.integers(4, 12))
+            density = rng.uniform(0.4, 0.9)
+            pairs = {
+                frozenset(pr)
+                for pr in itertools.combinations(range(1, p + 1), 2)
+                if rng.random() < density
+            }
+            bg = MixedGraph(p, multi=frozenset(pairs))
+            for relaxed in (True, False):
+                cfg = DiscoveryConfig(relaxed_test=relaxed)
+                reference, walked = HashGate(salt), HashGate(salt)
+                want = algorithm2(reference, bg, cfg)
+                got, diags = find_multidirected(walked, bg, cfg)
+                assert got == set(want)
+                assert {frozenset(d["edge"]): d["tests"] for d in diags} == want
+                asked.update(reference=reference.calls, walk=walked.calls)
+        assert asked["walk"] < asked["reference"] / 2
+
+    @pytest.mark.parametrize("k", [10, 12, 14, 16])
+    def test_one_edge_asks_one_entry_per_admission(self, k):
+        # Below R = (1, ..., j) every vertex moved to Q is adjacent to all of
+        # P, so only the path that reports the edge is walked.
+        class CountingNonzero:
+            calls = 0
+
+            def entry(self, idx):
+                self.calls += 1
+                return 1.0
+
+        provider = CountingNonzero()
+        members = frozenset(range(1, k + 1))
+        got, _ = find_multidirected(provider, MixedGraph(k, multi=[members]))
+        assert got == {members}
+        assert provider.calls == k - 1
+
     def test_walk_requests_each_entry_at_most_once(self):
         # Every gate query extends a distinct clique path by one or two
         # indices, so no sorted index comes up twice: a per-entry memo in a
@@ -320,6 +398,27 @@ class TestFindMultidirected:
         finally:
             gc.enable()
         assert freed
+
+    def test_walk_frees_its_provider_on_return_without_the_collector(self, monkeypatch):
+        # The provider run_mbang builds, with its p x n rows, must go when
+        # run_mbang returns, not at the next full collection.
+        refs = []
+        walk = discovery.find_multidirected
+
+        def spy(provider, graph, cfg=None):
+            refs.append(weakref.ref(provider))
+            return walk(provider, graph, cfg)
+
+        monkeypatch.setattr(discovery, "find_multidirected", spy)
+        spec = case2_spec()
+        data = simulate(spec, 2000, seed=4)
+        gc.disable()
+        try:
+            run_mbang(data, oracle_first_stage(spec))
+            freed = [ref() is None for ref in refs]
+        finally:
+            gc.enable()
+        assert freed == [True]
 
     def test_deterministic(self):
         spec = case2_spec()
