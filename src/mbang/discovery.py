@@ -3,12 +3,13 @@
 The pipeline takes observations Y, a first stage supplying the direct-effects
 estimate and a mixed graph of bidirected pairs, removes the direct effects
 (X = Y - B^T Y), and then merges bidirected pairs into multidirected edges by
-running a Bron-Kerbosch recursion whose every extension is gated on a nonzero
+running a Bron-Kerbosch walk whose every extension is gated on a nonzero
 higher-order cumulant of X.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import fileio
 from .cumulants import PopulationCumulants, cumulant_from_moments
 from .errors import SchemaError, ValidationError
 from .graphs import MixedGraph, bidirected_subdivision, bows, graph_from_json_dict
-from .graphs import graph_to_json_dict, is_finite_real, sorted_multi
+from .graphs import graph_to_json_dict, is_finite_real, sorted_multi, topological_order
 from .sem import Dataset, LsemSpec, center_rows, dedirect, effects_matrix, standardize_rows
 
 EXACT_EPS = 1e-9
@@ -49,8 +50,8 @@ class FirstStageResult:
     graph whose multidirected edges are all bidirected pairs.
 
     A wider multidirected edge, a bow (a directed edge whose endpoints are
-    also a pair), or a nonzero of ``B_hat`` off the directed edges raises
-    ValidationError.
+    also a pair), a directed cycle, or a nonzero of ``B_hat`` off the directed
+    edges raises ValidationError.
     """
 
     B_hat: np.ndarray
@@ -64,6 +65,7 @@ class FirstStageResult:
         found = bows(g.directed, g.multi)
         if found:
             raise ValidationError(f"first stage contains bows {found}")
+        topological_order(g)
         object.__setattr__(self, "B_hat", effects_matrix(self.B_hat, g.p, g.directed, "B_hat"))
 
 
@@ -144,34 +146,20 @@ def cumulant_test(provider, R, v: int, cfg: DiscoveryConfig):
     R = tuple(R)
     if not R:
         return True, {"vertex": int(v), "kind": "root", "order": 0, "index": [], "value": None}
-    thr = cfg.cumulant_tolerance
     idx = R + (int(v),)
-    value = provider.entry(idx)
-    if abs(value) > thr:
-        return True, {
-            "vertex": int(v),
-            "kind": "primary",
-            "order": len(idx),
-            "index": sorted(idx),
-            "value": value,
-        }
-    if cfg.relaxed_test:
-        for j in R:
-            value2 = provider.entry(idx + (j,))
-            if abs(value2) > thr:
-                return True, {
-                    "vertex": int(v),
-                    "kind": "relaxed",
-                    "order": len(idx) + 1,
-                    "index": sorted(idx + (j,)),
-                    "value": value2,
-                }
+    relaxed = (idx + (j,) for j in R) if cfg.relaxed_test else ()
+    for entry in itertools.chain((idx,), relaxed):
+        value = provider.entry(entry)
+        if abs(value) > cfg.cumulant_tolerance:
+            kind = "primary" if entry is idx else "relaxed"
+            return True, {"vertex": int(v), "kind": kind, "order": len(entry),
+                          "index": sorted(entry), "value": value}
     return False, None
 
 
 def _walk(provider, adj, cfg, reported, R, P, Q, chain):
-    # A module-level recursion, so that no cycle keeps the provider alive once
-    # the walk returns.  P and Q are fresh sets owned by this node.
+    # One node: yields each admitted child's arguments.  No node refers to itself,
+    # so the provider is freed when the walk returns.  P and Q belong to the node.
     if not P and not Q and len(R) >= 2:
         reported.setdefault(frozenset(R), list(chain))
     if any(P <= adj[q] for q in Q):
@@ -180,7 +168,7 @@ def _walk(provider, adj, cfg, reported, R, P, Q, chain):
         if adj[v]:
             passed, evidence = cumulant_test(provider, R, v, cfg)
             if passed:
-                _walk(provider, adj, cfg, reported, R + (v,), P & adj[v], Q & adj[v], chain + (evidence,))
+                yield (R + (v,), P & adj[v], Q & adj[v], chain + (evidence,))
         P.discard(v)
         Q.add(v)
         if P <= adj[v]:
@@ -193,18 +181,22 @@ def find_multidirected(provider, graph: MixedGraph, cfg: DiscoveryConfig | None 
     Two vertices are adjacent when they share a multidirected edge, so a graph
     and its bidirected subdivision give the same walk.
 
-    The paper's pivotless recursion: a node reports its clique R (when
-    |R| >= 2) only if both the candidate set P and the excluded set Q are
-    empty on entry; each v in P with a nonempty neighborhood is
-    recursed into only when :func:`cumulant_test` passes, and is then moved
-    from P to Q whether or not it passed.  Iteration order over P is sorted,
-    so results are deterministic.
+    The paper's pivotless Bron-Kerbosch walk: a node reports its clique R
+    (when |R| >= 2) only if both the candidate set P and the excluded set Q
+    are empty on entry; each v in P with a nonempty neighborhood gets a child
+    node only when :func:`cumulant_test` passes, and is then moved from P to Q
+    whether or not it passed.  Iteration order over P is sorted, so results
+    are deterministic.
+
+    The nodes are generators on one stack, and a node resumes only once its
+    last child's subtree is done: the gate queries come in a recursion's
+    depth-first order, yet no Python frame is spent per clique member.
 
     A node returns early once some q in Q is adjacent to every vertex of P:
     every descendant keeps q in Q and its P inside adj[q], so nothing below
     can report.  The rule is tested for all of Q on entry and for each v as it
     moves to Q.  It skips only subtrees that report nothing, so the reported
-    edges and their admission chains are those of the full recursion; a gate
+    edges and their admission chains are those of the full walk; a gate
     query, and so an order refusal, is made only where the walk needs it.
 
     Returns (edges, diagnostics): the reported vertex sets, deduplicated, and
@@ -213,7 +205,14 @@ def find_multidirected(provider, graph: MixedGraph, cfg: DiscoveryConfig | None 
     """
     cfg = cfg or DiscoveryConfig()
     reported: dict[frozenset[int], list[dict]] = {}
-    _walk(provider, graph.adjacency, cfg, reported, (), set(range(1, graph.p + 1)), set(), ())
+    adj = graph.adjacency
+    stack = [_walk(provider, adj, cfg, reported, (), set(range(1, graph.p + 1)), set(), ())]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(_walk(provider, adj, cfg, reported, *child))
     edges = set(reported)
     diagnostics = [
         {"edge": sorted(e), "source": "merged", "tests": reported[e]}
@@ -252,7 +251,7 @@ class DiscoveryResult:
 
 
 def _assemble(stage: FirstStageResult, edges, diagnostics, cfg) -> DiscoveryResult:
-    # Bidirected pairs the recursion left uncovered stay in the output as
+    # Bidirected pairs the walk left uncovered stay in the output as
     # 2-directed edges; dropping them would lose structure the first stage
     # already established.
     multi = set(edges)

@@ -154,10 +154,6 @@ def load_graph(path) -> MixedGraph:
     return graph_from_json_dict(load_json(path))
 
 
-def save_graph(g: MixedGraph, path):
-    save_json(graph_to_json_dict(g), path)
-
-
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -107,7 +107,7 @@ def topological_order(g: MixedGraph) -> list[int]:
     """Vertices ordered so that every directed edge points forward.
 
     Ties resolve to the smallest label, so the order is deterministic.
-    Raises ValidationError if the directed part has a cycle.
+    Raises ValidationError naming a cycle if the directed part has one.
     """
     indeg = {v: 0 for v in range(1, g.p + 1)}
     for _, j in g.directed:
@@ -123,7 +123,12 @@ def topological_order(g: MixedGraph) -> list[int]:
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
     if len(order) != g.p:
-        raise ValidationError("directed part contains a cycle")
+        # Each vertex left over has a parent left over: walking back closes a cycle.
+        path = [min(v for v, d in indeg.items() if d)]
+        while (u := min(w for w in g.parents[path[-1]] if indeg[w])) not in path:
+            path.append(u)
+        cycle = path[path.index(u):][::-1]
+        raise ValidationError(f"directed part contains a cycle {' -> '.join(map(str, cycle + cycle[:1]))}")
     return order
 
 

@@ -5,10 +5,13 @@ Run as a script, from any directory:
     python tests/seed1_pass.py
 
 It prints one JSON object mapping each workload to its outputs digest (the
-digest ``perfbench/run.py`` reports) and to the per-layer metrics that
-``perfbench/layers.py`` would report as missing.  The tests run it in a fresh
-interpreter with BLAS pinned to one thread, as ``run.py`` does, so that the
-digests do not depend on the thread count.
+digest ``perfbench/run.py`` reports), to the per-layer metrics that
+``perfbench/layers.py`` would report as missing, and to the value of every
+per-layer metric counted in ``count`` or ``bytes``.  Those values and the
+digests do not depend on timing, so the output of two trees can be diffed to
+compare their work.  The tests run it in a fresh interpreter with BLAS pinned
+to one thread, as ``run.py`` does, so that the digests do not depend on the
+thread count.
 """
 
 import json
@@ -41,11 +44,12 @@ def main() -> dict:
                 run.drive(cases, tally, 0, tracer=tracer, one_pass=True)
             finally:
                 hooks.remove()
-        _, missing = layers.derive(name, tracer.ops, tally.attempted, {}, hooks.span_names, units)
+        metrics, missing = layers.derive(name, tracer.ops, tally.attempted, {}, hooks.span_names, units)
         out[name] = {
             "digest": tally.outputs_digest(),
             "missing": missing,
             "problems": tally.problems,
+            "work": {k: m["value"] for k, m in metrics.items() if m["unit"] in ("count", "bytes")},
         }
     return out
 

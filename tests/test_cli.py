@@ -7,7 +7,8 @@ import pytest
 
 from mbang import MixedGraph, simulate
 from mbang.cli import main
-from mbang.fileio import read_dataset_csv, save_graph, save_spec, write_dataset_bin, write_dataset_csv
+from mbang.fileio import read_dataset_csv, save_json, save_spec, write_dataset_bin, write_dataset_csv
+from mbang.graphs import graph_to_json_dict
 
 from helpers import (
     case1_graph,
@@ -139,7 +140,7 @@ class TestDiscover:
 class TestTreks:
     def test_witness_for_three_edge(self, tmp_path, capsys):
         path = tmp_path / "g.json"
-        save_graph(showcase_mixed(), path)
+        save_json(graph_to_json_dict(showcase_mixed()), path)
         rc = main(["treks", "--graph", str(path), "--tuple", "2,3,4"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -148,21 +149,21 @@ class TestTreks:
 
     def test_case1_has_none(self, tmp_path, capsys):
         path = tmp_path / "g.json"
-        save_graph(case1_graph(), path)
+        save_json(graph_to_json_dict(case1_graph()), path)
         rc = main(["treks", "--graph", str(path), "--tuple", "2,3,4"])
         assert rc == 0
         assert "no 3-trek" in capsys.readouterr().out
 
     def test_single_vertex_tuple_is_usage_error(self, tmp_path):
         path = tmp_path / "g.json"
-        save_graph(case1_graph(), path)
+        save_json(graph_to_json_dict(case1_graph()), path)
         with pytest.raises(SystemExit) as err:
             main(["treks", "--graph", str(path), "--tuple", "2"])
         assert err.value.code == 2
 
     def test_out_of_range_tuple_is_validation_error(self, tmp_path):
         path = tmp_path / "g.json"
-        save_graph(case1_graph(), path)
+        save_json(graph_to_json_dict(case1_graph()), path)
         rc = main(["treks", "--graph", str(path), "--tuple", "2,9"])
         assert rc == 3
 
@@ -170,7 +171,7 @@ class TestTreks:
         from mbang import MixedGraph
 
         path = tmp_path / "g.json"
-        save_graph(MixedGraph(3, {(1, 2), (2, 3), (3, 1)}), path)
+        save_json(graph_to_json_dict(MixedGraph(3, {(1, 2), (2, 3), (3, 1)})), path)
         rc = main(["treks", "--graph", str(path), "--tuple", "1,2"])
         assert rc == 3
 
@@ -246,25 +247,27 @@ class TestBenchmark:
 class TestGraphTools:
     def test_info(self, tmp_path, capsys):
         path = tmp_path / "g.json"
-        save_graph(showcase_mixed(), path)
+        save_json(graph_to_json_dict(showcase_mixed()), path)
         rc = main(["graph-tools", "info", "--graph", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "acyclic: True" in out and "bow-free: True" in out
         assert "{2,3,4}" in out
 
-    def test_info_lists_one_wide_edge_as_one_clique(self, tmp_path, capsys):
+    @pytest.mark.parametrize("k", [20, 1500])
+    def test_info_lists_one_wide_edge_as_one_clique(self, k, tmp_path, capsys):
         # A walk that enters subtrees unable to report doubles its work with
-        # each member of such an edge.
+        # each member of such an edge, and a walk that spends one Python
+        # frame per member runs out of them long before 1500.
         path = tmp_path / "g.json"
-        save_graph(MixedGraph(20, multi=[frozenset(range(1, 21))]), path)
+        save_json(graph_to_json_dict(MixedGraph(k, multi=[frozenset(range(1, k + 1))])), path)
         assert main(["graph-tools", "info", "--graph", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "subdivision cliques: {" + ",".join(map(str, range(1, 21))) + "}\n" in out
+        assert "subdivision cliques: {" + ",".join(map(str, range(1, k + 1))) + "}\n" in out
 
     def test_dot_export(self, tmp_path):
         path = tmp_path / "g.json"
-        save_graph(showcase_mixed(), path)
+        save_json(graph_to_json_dict(showcase_mixed()), path)
         out = tmp_path / "g.dot"
         rc = main(["graph-tools", "dot", "--graph", str(path), "--out", str(out)])
         assert rc == 0
@@ -272,7 +275,7 @@ class TestGraphTools:
 
     def test_subdivide(self, tmp_path):
         path = tmp_path / "g.json"
-        save_graph(showcase_mixed(), path)
+        save_json(graph_to_json_dict(showcase_mixed()), path)
         out = tmp_path / "pairs.json"
         rc = main(["graph-tools", "subdivide", "--graph", str(path), "--out", str(out)])
         assert rc == 0
@@ -281,7 +284,7 @@ class TestGraphTools:
 
     def test_missing_out_is_usage_error(self, tmp_path):
         path = tmp_path / "g.json"
-        save_graph(showcase_mixed(), path)
+        save_json(graph_to_json_dict(showcase_mixed()), path)
         with pytest.raises(SystemExit) as err:
             main(["graph-tools", "dot", "--graph", str(path)])
         assert err.value.code == 2
@@ -447,6 +450,8 @@ BAD_INPUTS = [
                                       "--out", "{tmp}/g.json"], 3),
     ("stage-with-bidirected-loop", ["discover", "--data", "{data}", "--stage", "{loop_stage}",
                                     "--out", "{tmp}/g.json"], 3),
+    ("stage-with-directed-cycle", ["discover", "--data", "{data}", "--stage", "{cyclic_stage}",
+                                   "--out", "{tmp}/g.json"], 3),
     ("cumulants-centering-overflows", ["cumulants", "--data", "{overflow_csv}", "--order", "2",
                                        "--out", "{tmp}/t.json"], 4),
     ("discover-centering-overflows", ["discover", "--data", "{overflow_csv}", "--stage", "{zero_stage}",
@@ -564,6 +569,8 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
         ("bow_stage", {**stage_doc, "bidirected": [[1, 2]]}),
         ("triple_stage", {**stage_doc, "bidirected": [[1, 2, 3]]}),
         ("loop_stage", {**stage_doc, "bidirected": [[1, 1]]}),
+        ("cyclic_stage", {**stage_doc, "directed": [[1, 2], [2, 1]],
+                          "B": [[0.0, 0.5, 0.0, 0.0, 0.0], [0.5] + [0.0] * 4] + [[0.0] * 5] * 3}),
         ("neg_seed_config", {"trials": 1, "seed": -1}),
         ("fractional_n_config", {"n": 2.5}),
         ("fractional_graph", {"p": 2.5, "directed": [], "multi": []}),
@@ -587,7 +594,7 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
         files[name] = str(tmp_path / name)
         (tmp_path / name).write_bytes(blob)
     files["graph"] = str(tmp_path / "g.json")
-    save_graph(showcase_mixed(), files["graph"])
+    save_json(graph_to_json_dict(showcase_mixed()), files["graph"])
     files["data"] = str(tmp_path / "d.csv")
     write_dataset_csv(simulate(showcase_spec(), 50, seed=1), files["data"])
     assert _exit_code([arg.format(**files) for arg in argv]) == code

@@ -158,6 +158,41 @@ class TestCumulantTest:
         ok, _ = cumulant_test(provider, (1, 2), 3, exact_strict)
         assert not ok
 
+    @pytest.mark.parametrize("relaxed", [True, False])
+    def test_asks_the_primary_then_each_member_until_one_passes(self, relaxed):
+        # R + v first, then (relaxed only) R + v + j for each j in R's order;
+        # an entry whose magnitude equals the threshold does not pass.
+        class Recording:
+            def __init__(self, values):
+                self.values, self.asked = values, []
+
+            def entry(self, idx):
+                self.asked.append(tuple(idx))
+                return self.values.get(tuple(idx), 0.0)
+
+        cfg = DiscoveryConfig(cumulant_tolerance=0.1, relaxed_test=relaxed)
+        primary = (5, 2, 7, 3)
+        repeats = [primary + (j,) for j in (5, 2, 7)]
+
+        provider = Recording({})
+        assert cumulant_test(provider, (5, 2, 7), 3, cfg) == (False, None)
+        assert provider.asked == [primary] + (repeats if relaxed else [])
+
+        provider = Recording({primary: -0.5, repeats[0]: 1.0})
+        ok, evidence = cumulant_test(provider, (5, 2, 7), 3, cfg)
+        assert ok and provider.asked == [primary]
+        assert list(evidence.items()) == [("vertex", 3), ("kind", "primary"), ("order", 4),
+                                          ("index", [2, 3, 5, 7]), ("value", -0.5)]
+
+        provider = Recording({primary: 0.1, repeats[0]: -0.1, repeats[1]: 0.25, repeats[2]: 1.0})
+        ok, evidence = cumulant_test(provider, (5, 2, 7), 3, cfg)
+        if relaxed:
+            assert ok and provider.asked == [primary] + repeats[:2]
+            assert list(evidence.items()) == [("vertex", 3), ("kind", "relaxed"), ("order", 5),
+                                              ("index", [2, 2, 3, 5, 7]), ("value", 0.25)]
+        else:
+            assert (ok, evidence) == (False, None) and provider.asked == [primary]
+
     def test_empty_clique_always_passes(self):
         provider = PopulationCumulants.from_spec(case1_spec())
         ok, evidence = cumulant_test(provider, (), 2, DiscoveryConfig())
@@ -318,10 +353,11 @@ class TestFindMultidirected:
                 asked.update(reference=reference.calls, walk=walked.calls)
         assert asked["walk"] < asked["reference"] / 2
 
-    @pytest.mark.parametrize("k", [10, 12, 14, 16])
+    @pytest.mark.parametrize("k", [10, 12, 14, 16, 1500])
     def test_one_edge_asks_one_entry_per_admission(self, k):
         # Below R = (1, ..., j) every vertex moved to Q is adjacent to all of
-        # P, so only the path that reports the edge is walked.
+        # P, so only the path that reports the edge is walked.  The walk uses
+        # no Python frame per member, so k = 1500 needs no recursion limit.
         class CountingNonzero:
             calls = 0
 

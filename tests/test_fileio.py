@@ -9,13 +9,14 @@ from mbang.fileio import (
     read_dataset,
     read_dataset_bin,
     read_dataset_csv,
-    save_graph,
+    save_json,
     save_spec,
     spec_from_json_dict,
     spec_to_json_dict,
     write_dataset_bin,
     write_dataset_csv,
 )
+from mbang.graphs import graph_to_json_dict
 
 from helpers import showcase_mixed, showcase_spec
 
@@ -136,7 +137,7 @@ class TestGraphJson:
     def test_round_trip(self, tmp_path):
         g = showcase_mixed()
         path = tmp_path / "g.json"
-        save_graph(g, path)
+        save_json(graph_to_json_dict(g), path)
         assert load_graph(path) == g
 
     def test_missing_file(self, tmp_path):

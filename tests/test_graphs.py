@@ -120,21 +120,32 @@ class TestBowFree:
         assert 0 < found < 200
 
     def test_first_stage_refuses_exactly_the_bows(self):
+        # A draw without bows is refused exactly when its directed part has a
+        # cycle, and the message names one: consecutive labels are directed
+        # edges, and the last label is the first.
         rng = np.random.default_rng(23)
-        refused = 0
+        refused = cyclic = 0
         for _ in range(200):
             p = int(rng.integers(2, 7))
             directed = self._random_edges(rng, p)
             pairs = {frozenset(e) for e in self._random_edges(rng, p)}
             want = sorted(e for e in directed if frozenset(e) in pairs)
+            g = MixedGraph(p, directed, pairs)
             try:
-                FirstStageResult(np.zeros((p, p)), MixedGraph(p, directed, pairs))
+                FirstStageResult(np.zeros((p, p)), g)
             except ValidationError as exc:
-                assert f"bows {want}" in str(exc)
+                if want:
+                    assert f"bows {want}" in str(exc)
+                else:
+                    assert not is_acyclic(g)
+                    named = [int(v) for v in str(exc).split("cycle ")[1].split(" -> ")]
+                    assert named[0] == named[-1] and len(set(named)) == len(named) - 1
+                    assert all(e in directed for e in zip(named, named[1:]))
+                    cyclic += 1
                 refused += 1
             else:
-                assert not want
-        assert 0 < refused < 200
+                assert not want and is_acyclic(g)
+        assert 0 < cyclic < refused < 200
 
 
 class TestSubdivision:
