@@ -159,27 +159,30 @@ def cumulant_test(provider, R, v: int, cfg: DiscoveryConfig):
 
 def _walk(provider, adj, cfg, reported, R, P, Q, chain):
     # One node: yields each admitted child's arguments.  No node refers to itself,
-    # so the provider is freed when the walk returns.  P and Q belong to the node.
+    # so the provider is freed when the walk returns.  P and Q are int bitmasks.
     if not P and not Q and len(R) >= 2:
         reported.setdefault(frozenset(R), list(chain))
-    if any(P <= adj[q] for q in Q):
-        return
-    for v in sorted(P):
+    rest = Q
+    while rest:
+        if not P & ~adj[(rest & -rest).bit_length() - 1]:
+            return
+        rest &= rest - 1
+    while P:
+        v = (P & -P).bit_length() - 1
         if adj[v]:
             passed, evidence = cumulant_test(provider, R, v, cfg)
             if passed:
                 yield (R + (v,), P & adj[v], Q & adj[v], chain + (evidence,))
-        P.discard(v)
-        Q.add(v)
-        if P <= adj[v]:
+        P ^= 1 << v
+        Q |= 1 << v
+        if not P & ~adj[v]:
             return
 
 
 def find_multidirected(provider, graph: MixedGraph, cfg: DiscoveryConfig | None = None):
-    """Cumulant-gated Bron-Kerbosch over ``graph.adjacency``.
-
-    Two vertices are adjacent when they share a multidirected edge, so a graph
-    and its bidirected subdivision give the same walk.
+    """Cumulant-gated Bron-Kerbosch: two vertices are adjacent when they share
+    a multidirected edge, so a graph and its bidirected subdivision give the
+    same walk.  P, Q and each neighborhood are int bitmasks over the labels.
 
     The paper's pivotless Bron-Kerbosch walk: a node reports its clique R
     (when |R| >= 2) only if both the candidate set P and the excluded set Q
@@ -205,8 +208,12 @@ def find_multidirected(provider, graph: MixedGraph, cfg: DiscoveryConfig | None 
     """
     cfg = cfg or DiscoveryConfig()
     reported: dict[frozenset[int], list[dict]] = {}
-    adj = graph.adjacency
-    stack = [_walk(provider, adj, cfg, reported, (), set(range(1, graph.p + 1)), set(), ())]
+    adj = [0] * (graph.p + 1)
+    for h in graph.multi:
+        mask = sum(1 << v for v in h)
+        for v in h:
+            adj[v] |= mask ^ (1 << v)
+    stack = [_walk(provider, adj, cfg, reported, (), (1 << graph.p + 1) - 2, 0, ())]
     while stack:
         child = next(stack[-1], None)
         if child is None:
@@ -227,8 +234,9 @@ class _AlwaysNonzero:
 
 
 def enumerate_cliques(graph: MixedGraph) -> list[frozenset[int]]:
-    """All maximal cliques of ``graph.adjacency`` with >= 2 vertices, sorted:
-    the walk with an always-passing gate."""
+    """All maximal cliques with >= 2 vertices, sorted, where two vertices are
+    adjacent when they share a multidirected edge: the walk with an
+    always-passing gate."""
     _, diagnostics = find_multidirected(_AlwaysNonzero(), graph)
     return [frozenset(d["edge"]) for d in diagnostics]
 

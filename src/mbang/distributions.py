@@ -61,8 +61,8 @@ class Noise:
         object.__setattr__(self, "params", tuple(float(x) for x in self.params))
         d, p = self.dist, self.params
         if d == "uniform":
-            if len(p) != 2 or not p[0] < p[1]:
-                raise ValidationError("uniform needs parameters (a, b) with a < b")
+            if len(p) != 2 or not p[0] < p[1] or not math.isfinite(p[1] - p[0]):
+                raise ValidationError("uniform needs parameters (a, b) with a < b and a finite width b - a")
         elif d == "gamma":
             if len(p) != 2 or p[0] <= 0 or p[1] <= 0:
                 raise ValidationError("gamma needs positive (shape, rate)")

@@ -93,15 +93,6 @@ class MixedGraph:
             anc[v] = frozenset(acc)
         return anc
 
-    @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        """Maps v to every vertex that shares a multidirected edge with v."""
-        out: dict[int, set[int]] = {v: set() for v in range(1, self.p + 1)}
-        for h in self.multi:
-            for v in h:
-                out[v].update(h)
-        return {v: frozenset(s - {v}) for v, s in out.items()}
-
 
 def topological_order(g: MixedGraph) -> list[int]:
     """Vertices ordered so that every directed edge points forward.

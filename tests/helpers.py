@@ -192,9 +192,15 @@ def random_spec(rng, graph: MixedGraph, noises=SKEWED) -> LsemSpec:
     return LsemSpec(graph, B, tuple(pick() for _ in range(p)), hidden)
 
 
+def adjacency(g: MixedGraph) -> dict[int, frozenset[int]]:
+    """Maps v to every vertex that shares a multidirected edge with v, read
+    straight from ``g.multi``."""
+    return {v: frozenset(u for h in g.multi if v in h for u in h) - {v} for v in range(1, g.p + 1)}
+
+
 def exhaustive_maximal_cliques(bg: MixedGraph) -> list[frozenset[int]]:
     """Subset-enumeration oracle for maximal cliques of size >= 2 (p <= 8)."""
-    adj = bg.adjacency
+    adj = adjacency(bg)
     vertices = range(1, bg.p + 1)
     cliques = []
     for r in range(2, bg.p + 1):

@@ -10,6 +10,12 @@ earlier can sit in Q and block a true edge. The smallest such family is
 {1,2}, {1,3,4}, {2,3,4}: vertex 2 is in Q when R = (1,3,4) closes, vertex 1
 when R = (2,3,4) does, and only the six pairs come back. A change to a count
 is a change to the walk.
+
+The sample census runs the same small families through the whole pipeline:
+one simulated dataset per family (n = 20000, seeded by the family's index),
+the oracle first stage and the default gate.  Its counts are regression
+numbers too; a change to the gate, the merge or the sample provider names
+its new count.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import functools
 import numpy as np
 import pytest
 
-from mbang import HiddenSource, LsemSpec, MixedGraph, find_multidirected, run_mbang_population
+from mbang import HiddenSource, LsemSpec, MixedGraph, find_multidirected, oracle_first_stage
+from mbang import run_mbang, run_mbang_population, simulate
 from mbang.graphs import bidirected_subdivision, sorted_multi
 
 from helpers import CHI2, UNIFORM10, StructuralCumulants, draw_coef, edge_families
@@ -75,3 +82,13 @@ def test_population_walk_agrees_with_the_structural_census(noise):
     }
     assert len(SMALL) - len(_misses(recovered)) == 856
     assert recovered == {family: structural_census()[family] for family in SMALL}
+
+
+@pytest.mark.parametrize("noise, exact", [(CHI2, 817), (UNIFORM10, 821)], ids=["chi2", "uniform10"])
+def test_sample_census_counts(noise, exact):
+    rng = np.random.default_rng(2026)
+    recovered = {}
+    for i, family in enumerate(SMALL):
+        spec = _spec(family, noise, rng)
+        recovered[family] = run_mbang(simulate(spec, 20000, seed=i), oracle_first_stage(spec)).graph.multi
+    assert len(SMALL) - len(_misses(recovered)) == exact

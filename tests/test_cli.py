@@ -428,6 +428,8 @@ BAD_INPUTS = [
                                         "--seed", "1", "--out", "{tmp}/x.csv"], 3),
     ("spec-with-nan-noise-param", ["simulate", "--spec", "{nan_param_spec}", "--n", "5",
                                    "--seed", "1", "--out", "{tmp}/x.csv"], 3),
+    ("spec-with-overflowing-uniform-width", ["simulate", "--spec", "{wide_uniform_spec}", "--n", "5",
+                                             "--seed", "1", "--out", "{tmp}/x.csv"], 3),
     ("spec-with-bool-loading", ["simulate", "--spec", "{bool_loading_spec}", "--n", "5",
                                 "--seed", "1", "--out", "{tmp}/x.csv"], 3),
     ("spec-with-string-loading", ["simulate", "--spec", "{string_loading_spec}", "--n", "5",
@@ -557,6 +559,8 @@ def test_bad_input_exit_code(argv, code, spec_file, tmp_path):
         ("string_param_spec", _edited(spec_doc, ("noise", 0, "params", 0), "2")),
         ("infinite_param_spec", _edited(spec_doc, ("noise", 0, "params", 0), float("inf"))),
         ("nan_param_spec", _edited(spec_doc, ("noise", 0, "params", 0), float("nan"))),
+        ("wide_uniform_spec", _edited(spec_doc, ("noise", 0),
+                                      {"dist": "uniform", "params": [-1.7e308, 1.7e308]})),
         ("bool_loading_spec", _edited(spec_doc, ("hidden_sources", 0, "loadings", 0), True)),
         ("string_loading_spec", _edited(spec_doc, ("hidden_sources", 0, "loadings", 0), "0.8")),
         ("bool_effect_spec", _edited(spec_doc, ("B", 0, 0), False)),

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -31,6 +32,7 @@ from mbang.discovery import EXACT_EPS, first_stage_from_json_dict
 
 from helpers import (
     ECO_EDGES,
+    adjacency,
     case1_spec,
     case2_spec,
     ecology_like_spec,
@@ -49,7 +51,7 @@ def edges(result):
 def algorithm2(provider, bg, cfg):
     """The paper's Algorithm 2 as written, with no early return: each reported
     edge mapped to the gate evidence along the first path that reported it."""
-    adj = bg.adjacency
+    adj = adjacency(bg)
     out = {}
 
     def alg2(R, P, Q, chain):
@@ -274,7 +276,7 @@ class TestFindMultidirected:
                 return (h / 2**32) * 0.2 - 0.1  # uniform-ish in [-0.1, 0.1)
 
         def reference(provider, bg, cfg):
-            adj = bg.adjacency
+            adj = adjacency(bg)
             out = set()
 
             def alg2(R, P, Q):
@@ -370,6 +372,25 @@ class TestFindMultidirected:
         got, _ = find_multidirected(provider, MixedGraph(k, multi=[members]))
         assert got == {members}
         assert provider.calls == k - 1
+
+    def test_wide_edge_walks_in_memory_linear_in_the_edge(self):
+        # P, Q and each neighborhood are int bitmasks, so one 3000-member edge
+        # needs no set of neighbors per vertex and no copied set per node.
+        class AlwaysNonzero:
+            def entry(self, idx):
+                return 1.0
+
+        k = 3000
+        members = frozenset(range(1, k + 1))
+        graph = MixedGraph(k, multi=[members])
+        tracemalloc.start()
+        try:
+            got, _ = find_multidirected(AlwaysNonzero(), graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == {members}
+        assert peak < 200 * 2**20
 
     def test_walk_requests_each_entry_at_most_once(self):
         # Every gate query extends a distinct clique path by one or two
@@ -493,7 +514,7 @@ class TestRunMbang:
             g = random_mixed_graph(rng, int(rng.integers(3, 7)))
             spec = random_spec(rng, g)
             bg = bidirected_subdivision(spec.graph)
-            adj = bg.adjacency
+            adj = adjacency(bg)
             result = run_mbang_population(spec)
             merged = [d for d in result.diagnostics if d["source"] == "merged"]
             for record in merged:

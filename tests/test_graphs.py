@@ -25,6 +25,7 @@ from mbang.graphs import (
 )
 
 from helpers import (
+    adjacency,
     case1_graph,
     case2_graph,
     exhaustive_maximal_cliques,
@@ -203,7 +204,7 @@ class TestSubdivision:
             assert all(len(pr) == 2 for pr in sub.multi)
             assert sub.directed == g.directed and sub.p == g.p
             pair_adj = {v: {u for pr in sub.multi if v in pr for u in pr} - {v} for v in range(1, g.p + 1)}
-            assert g.adjacency == sub.adjacency == pair_adj
+            assert adjacency(g) == adjacency(sub) == pair_adj
             assert enumerate_cliques(g) == enumerate_cliques(sub)
             assert is_bow_free(g) == is_bow_free(sub)
             nested += any(a < b for a in g.multi for b in g.multi)
