@@ -12,7 +12,6 @@ import numbers
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .discovery import (
@@ -142,6 +141,7 @@ def run_benchmark(cfg: TrialConfig):
     # The pool starts all its workers at the first submit: never more than trials.
     workers = min(cfg.workers, cfg.trials)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, [cfg] * len(indices), indices))
     else:

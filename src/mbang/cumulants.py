@@ -62,11 +62,11 @@ def sample_moments(data: Dataset, k_max: int) -> MomentTable:
 def cumulant_from_moments(moments: MomentTable, idx) -> float:
     """Joint cumulant of the (possibly repeated) indices from a moment table.
 
-    ``moments`` is anything with ``get(idx)``.  Position subsets are bitmasks;
-    the 2^k - 1 moments are fetched once, then kappa is filled in increasing
-    order over the masks holding position 0, so each kappa(T) read is known.
+    ``moments`` is anything with ``get(key)``; ``idx`` is sorted once, so every
+    key asked is sorted.  Position subsets are bitmasks; the 2^k - 1 moments are
+    fetched once, and kappa fills in increasing mask order, so each read is known.
     """
-    idx = tuple(int(v) for v in idx)
+    idx = tuple(sorted(int(v) for v in idx))
     k = len(idx)
     if not 1 <= k <= MAX_ORDER:
         raise ValidationError(f"cumulant order must be in 1..{MAX_ORDER}, got {k}")

@@ -106,9 +106,9 @@ class SampleCumulants:
     Moments are memoized per sorted index; the clique walk only ever touches
     indices inside bidirected cliques and asks each cumulant entry at most
     once, so nothing close to a full high-order tensor is materialized.  The
-    provider is its own moment table: ``get`` serves
-    ``cumulant_from_moments``.  As for ``sample_cumulant_tensor``, the caller
-    centers the rows.
+    provider is its own moment table: ``get`` is the recursion's table
+    protocol and takes a sorted tuple of labels.  As for
+    ``sample_cumulant_tensor``, the caller centers the rows.
     """
 
     def __init__(self, data: Dataset):
@@ -126,11 +126,11 @@ class SampleCumulants:
             self._moments[key] = value
             return value
 
-    def get(self, idx) -> float:
-        return self._moment(tuple(sorted(int(v) for v in idx)))
+    def get(self, idx: tuple[int, ...]) -> float:
+        return self._moment(idx)
 
     def entry(self, idx) -> float:
-        return cumulant_from_moments(self, tuple(sorted(int(v) for v in idx)))
+        return cumulant_from_moments(self, idx)
 
 
 def cumulant_test(provider, R, v: int, cfg: DiscoveryConfig):
@@ -161,7 +161,7 @@ def _walk(provider, adj, cfg, reported, R, P, Q, chain):
     # One node: yields each admitted child's arguments.  No node refers to itself,
     # so the provider is freed when the walk returns.  P and Q are int bitmasks.
     if not P and not Q and len(R) >= 2:
-        reported.setdefault(frozenset(R), list(chain))
+        reported.append((R, list(chain)))
     rest = Q
     while rest:
         if not P & ~adj[(rest & -rest).bit_length() - 1]:
@@ -202,12 +202,14 @@ def find_multidirected(provider, graph: MixedGraph, cfg: DiscoveryConfig | None 
     edges and their admission chains are those of the full walk; a gate
     query, and so an order refusal, is made only where the walk needs it.
 
-    Returns (edges, diagnostics): the reported vertex sets, deduplicated, and
-    one record per reported edge listing the cumulant entries that justified
+    Returns (edges, diagnostics): the reported vertex sets, and one record per
+    reported edge, in sorted order, listing the cumulant entries that justified
     each admission along its path.
     """
     cfg = cfg or DiscoveryConfig()
-    reported: dict[frozenset[int], list[dict]] = {}
+    # R grows by P's lowest label and P holds only labels above R's last, so R is
+    # increasing and names its node: preorder reports each edge once, in sorted order.
+    reported: list[tuple[tuple[int, ...], list[dict]]] = []
     adj = [0] * (graph.p + 1)
     for h in graph.multi:
         mask = sum(1 << v for v in h)
@@ -220,11 +222,8 @@ def find_multidirected(provider, graph: MixedGraph, cfg: DiscoveryConfig | None 
             stack.pop()
         else:
             stack.append(_walk(provider, adj, cfg, reported, *child))
-    edges = set(reported)
-    diagnostics = [
-        {"edge": sorted(e), "source": "merged", "tests": reported[e]}
-        for e in sorted(edges, key=lambda s: tuple(sorted(s)))
-    ]
+    edges = {frozenset(R) for R, _ in reported}
+    diagnostics = [{"edge": list(R), "source": "merged", "tests": tests} for R, tests in reported]
     return edges, diagnostics
 
 

@@ -10,18 +10,19 @@ Supported families, all shifted to mean zero:
 
 Uniform and t state their raw moments and derive their cumulants from them;
 the gamma family states its cumulants and derives its raw moments.  Asking t
-for an order >= df raises.
+for an order >= df raises, and a value that cannot be computed in floating
+point raises NumericalError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import NumericalError, SchemaError, ValidationError
 from .graphs import is_finite_real
 
 _FAMILIES = ("uniform", "gamma", "chi2", "exponential", "t")
@@ -46,6 +47,23 @@ def cumulants_from_moments(m: list[float]) -> list[float]:
             math.comb(r - 1, j - 1) * kappa[j] * m[r - j] for j in range(1, r)
         )
     return kappa
+
+
+def _finite(method):
+    # A power past the float range raises OverflowError, an underflowed rate**k
+    # ZeroDivisionError, and a product or sum of large terms quietly gives inf.
+    @wraps(method)
+    def wrapper(self, order: int) -> float:
+        try:
+            value = method(self, order)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not math.isfinite(value):
+            what = f"{method.__name__.replace('_', ' ')} of order {order} of {self.dist}{self.params}"
+            raise NumericalError(f"{what} cannot be computed in floating point")
+        return value
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -95,6 +113,7 @@ class Noise:
             return 1.0, self.params[0]
         raise AssertionError(self.dist)
 
+    @_finite
     def cumulant(self, order: int) -> float:
         """Order-k cumulant of the zero-mean distribution."""
         if order < 1:
@@ -111,6 +130,7 @@ class Noise:
         shape, rate = self._gamma_shape_rate()
         return shape * math.factorial(order - 1) / rate**order
 
+    @_finite
     def raw_moment(self, order: int) -> float:
         """Order-k raw moment E[X^k] of the zero-mean distribution."""
         if order < 0:

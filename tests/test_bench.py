@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
 
-from mbang import MixedGraph, ValidationError, bench, bidirected_subdivision, score
+import mbang
+from mbang import MixedGraph, ValidationError, bidirected_subdivision, score
 from mbang.bench import (
     CSV_FIELDS,
     TrialConfig,
@@ -81,11 +86,20 @@ class TestRunBenchmark:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         run_benchmark(small_cfg(trials=3, workers=10**6))
         assert sizes == [3]
         run_benchmark(small_cfg(trials=1, workers=10**6))
         assert sizes == [3]  # one trial takes the serial path
+
+    def test_importing_the_package_loads_no_process_pool(self):
+        # The pool is imported where it is used, so start-up skips multiprocessing.
+        code = "import sys, mbang, mbang.cli; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(mbang.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
     def test_no_edges_means_perfect_recovery(self):
         _, agg = run_benchmark(small_cfg(edges=0, trials=5))

@@ -146,6 +146,21 @@ class TestRecursionMatchesBellSum:
         )
 
     @pytest.mark.parametrize("idx", RECURSION_CASES)
+    def test_table_is_asked_only_sorted_keys(self, data, idx):
+        # The index is sorted once on entry, so the table never sorts a key.
+        table = sample_moments(data, len(idx))
+        asked = []
+
+        class Recording:
+            def get(self, key):
+                asked.append(key)
+                return table.get(key)
+
+        value = cumulant_from_moments(Recording(), idx)
+        assert [key for key in asked if list(key) != sorted(key)] == []
+        assert value == cumulant_from_moments(table, tuple(sorted(idx)))
+
+    @pytest.mark.parametrize("idx", RECURSION_CASES)
     def test_sample_provider(self, data, idx):
         provider = SampleCumulants(data)
         assert provider.entry(idx) == pytest.approx(

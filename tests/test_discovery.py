@@ -13,6 +13,8 @@ from mbang import (
     DiscoveryConfig,
     FirstStageResult,
     MixedGraph,
+    Noise,
+    NumericalError,
     PopulationCumulants,
     SampleCumulants,
     SchemaError,
@@ -352,6 +354,8 @@ class TestFindMultidirected:
                 got, diags = find_multidirected(walked, bg, cfg)
                 assert got == set(want)
                 assert {frozenset(d["edge"]): d["tests"] for d in diags} == want
+                reported = [d["edge"] for d in diags]
+                assert reported == sorted(reported) and len(reported) == len(want)
                 asked.update(reference=reference.calls, walk=walked.calls)
         assert asked["walk"] < asked["reference"] / 2
 
@@ -579,6 +583,11 @@ class TestRunMbang:
         result = run_mbang(data, oracle_first_stage(spec))
         assert result.graph == truth
         assert result.graph.multi == frozenset()
+
+    def test_population_noise_overflow_is_refused_by_name(self):
+        spec = case2_spec(hidden_noise=Noise("uniform", (-1e200, 1e200)))
+        with pytest.raises(NumericalError, match=r"order 2 of uniform\(-1e\+200, 1e\+200\)"):
+            run_mbang_population(spec)
 
     def test_stage_dimension_mismatch(self):
         spec = case2_spec()

@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from mbang import Noise, ValidationError
+from mbang import Noise, NumericalError, ValidationError
 from mbang.distributions import (
     PRESETS,
     cumulants_from_moments,
@@ -143,6 +143,21 @@ def test_bad_parameters_rejected():
         Noise("t", (2.0,))
     with pytest.raises(ValidationError):
         Noise("beta", (1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "noise, order",
+    [
+        (Noise("uniform", (-1e200, 1e200)), 2),  # half_width**2 overflows
+        (Noise("uniform", (-1e40, 1e40)), 8),  # within the oracle's order range
+        (Noise("gamma", (1e-300, 1e-300)), 2),  # rate**2 underflows to 0.0
+        (Noise("gamma", (2.0, 1e-40)), 8),  # the quotient is inf
+    ],
+)
+def test_values_past_the_float_range_are_refused_by_name(noise, order):
+    for method in (noise.cumulant, noise.raw_moment):
+        with pytest.raises(NumericalError, match=f"order {order} of {noise.dist}"):
+            method(order)
 
 
 def test_tag_lookup_and_json_round_trip():
